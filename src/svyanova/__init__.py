@@ -16,8 +16,7 @@ from .inference import (ChainConfig, DrawsMatrix, ParamState, PriorConfig,
                         augmented_logpseudolikelihood,
                         augmented_logpseudoposterior, fc_a_k, fc_mu, fc_tau_a,
                         fc_tau_eps, integrated_loglik, integrated_logposterior,
-                        map_estimate, map_objective, run_gibbs,
-                        run_integrated_mcmc)
+                        map_estimate, run_gibbs, run_integrated_mcmc)
 from .popgen import Population, PopulationConfig, generate_population
 
 __all__ = [
@@ -32,7 +31,7 @@ __all__ = [
     "emit_plot_data", "fc_a_k", "fc_mu", "fc_tau_a", "fc_tau_eps",
     "generate_population", "inclusion_probs", "informativeness_summary",
     "integrated_loglik", "integrated_logposterior", "load_scenarios",
-    "map_estimate", "map_objective", "run_gibbs", "run_grid",
+    "map_estimate", "run_gibbs", "run_grid",
     "run_integrated_mcmc", "run_scenario", "size_measures", "systematic_pps",
     "weighted_re_average", "weighted_residual_balance",
 ]

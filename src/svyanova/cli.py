@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .design import (WeightMode, build_weights, draw_two_stage_sample,
@@ -21,11 +20,10 @@ from .design import (WeightMode, build_weights, draw_two_stage_sample,
 from .diagnostics import (bounds_report, informativeness_summary,
                           informativeness_to_csv, weighted_residual_balance)
 from .harness import (ReplicationReport, emit_plot_data, load_scenarios,
-                      report_to_json, run_grid)
+                      replicate_configs, report_to_json, run_grid)
 from .inference import (ChainConfig, PriorConfig, map_estimate, map_summary,
                         run_gibbs, run_integrated_mcmc)
 from .popgen import generate_population
-from .rng import derive_seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,9 +84,8 @@ def _cmd_diagnose(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     summaries = []
     for scen in scenarios:
-        pop = generate_population(replace(scen.population,
-                                          seed=derive_seed(scen.base_seed, 1, 1)))
-        design = replace(scen.design, seed=derive_seed(scen.base_seed, 2, 1))
+        pop_cfg, design = replicate_configs(scen, 1)
+        pop = generate_population(pop_cfg)
         sample = draw_two_stage_sample(pop, design)
         weights = build_weights(sample, WeightMode.DOUBLE,
                                 normalize=scen.normalize_weights)

@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import DesignError
 from .popgen import Population
 from .rng import substream
@@ -282,20 +283,14 @@ SAMPLE_CSV_COLUMNS = ["cluster_id", "unit_id", "y", "pi_h", "pi_l_given_h",
 
 
 def sample_to_csv(sample: SampleDraw, weights: WeightSet, path) -> None:
-    """Export one row per sampled unit; floats round-trip via repr."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SAMPLE_CSV_COLUMNS)
-        pi_k = sample.cluster_probs()
-        pi_jk = sample.selected_unit_probs()
-        for i, k in enumerate(sample.cluster_ids):
-            for j, unit in enumerate(sample.unit_ids[i]):
-                writer.writerow([
-                    int(k), int(unit), repr(float(sample.y_s[i][j])),
-                    repr(float(pi_k[i])), repr(float(pi_jk[i][j])),
-                    repr(float(weights.w_k[i])), repr(float(weights.w_j_given_k[i][j])),
-                    repr(float(weights.w_jk[i][j])),
-                ])
+    """Export one row per sampled unit; floats round-trip exactly."""
+    pi_k = sample.cluster_probs()
+    pi_jk = sample.selected_unit_probs()
+    write_csv(path, SAMPLE_CSV_COLUMNS,
+              ([int(k), int(unit), sample.y_s[i][j], pi_k[i], pi_jk[i][j],
+                weights.w_k[i], weights.w_j_given_k[i][j], weights.w_jk[i][j]]
+               for i, k in enumerate(sample.cluster_ids)
+               for j, unit in enumerate(sample.unit_ids[i])))
 
 
 def sample_from_csv(path) -> SampleDraw:

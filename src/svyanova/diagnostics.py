@@ -14,6 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .csvio import write_csv
 from .design import (SampleDraw, TwoStageDesign, WeightSet, inclusion_probs,
                      size_measures, systematic_pps)
 from .popgen import Population
@@ -158,17 +159,12 @@ def informativeness_summary(population: Population, sample: SampleDraw,
 
 
 def informativeness_to_csv(summaries: list[InformativenessSummary], path) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["design", "source", "variable", "q05", "q50", "q95"])
-        for s in summaries:
-            for source, quants in (("population", s.population_quantiles),
-                                   ("sample", s.sample_quantiles)):
-                for var in ("a", "eps"):
-                    writer.writerow([s.design, source, var,
-                                     *[repr(q) for q in quants[var]]])
+    write_csv(path, ["design", "source", "variable", "q05", "q50", "q95"],
+              ([s.design, source, var, *quants[var]]
+               for s in summaries
+               for source, quants in (("population", s.population_quantiles),
+                                      ("sample", s.sample_quantiles))
+               for var in ("a", "eps")))
 
 
 def bounds_report(population: Population, sample: SampleDraw, weights: WeightSet,

@@ -10,8 +10,8 @@ scenario, regardless of worker count.
 
 from __future__ import annotations
 
-import csv
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
+from .csvio import write_csv
 from .design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                      build_weights, draw_two_stage_sample)
 from .errors import ConfigError
@@ -85,6 +86,13 @@ class ReplicationReport:
         return q95 - q05
 
 
+def replicate_configs(scenario: Scenario, r: int) -> tuple[PopulationConfig, TwoStageDesign]:
+    """Population config and design of replicate ``r``, each seeded from its
+    own stream of the scenario's base seed."""
+    return (replace(scenario.population, seed=derive_seed(scenario.base_seed, _POP, r)),
+            replace(scenario.design, seed=derive_seed(scenario.base_seed, _DESIGN, r)))
+
+
 def _run_replicate(scenario: Scenario, r: int) -> tuple[int, dict, dict, dict]:
     """One replicate: population -> sample -> every estimator.
 
@@ -94,11 +102,8 @@ def _run_replicate(scenario: Scenario, r: int) -> tuple[int, dict, dict, dict]:
     """
     estimates, diags, failures = {}, {}, {}
     try:
-        pop_cfg = replace(scenario.population,
-                          seed=derive_seed(scenario.base_seed, _POP, r))
+        pop_cfg, design = replicate_configs(scenario, r)
         population = generate_population(pop_cfg)
-        design = replace(scenario.design,
-                         seed=derive_seed(scenario.base_seed, _DESIGN, r))
         sample = draw_two_stage_sample(population, design)
         weight_sets = {mode: build_weights(sample, mode,
                                            normalize=scenario.normalize_weights)
@@ -208,6 +213,10 @@ def run_grid(scenarios: list[Scenario], workers: int = 1) -> list:
     return out
 
 
+def _truth(pop: PopulationConfig) -> dict:
+    return {"b0": pop.mu0, "sigma_a": pop.sigma_a0, "sigma_eps": pop.sigma_eps0}
+
+
 def emit_plot_data(reports, out_dir) -> tuple[str, str]:
     """Write long-format estimates and quantile CSVs for external plotting.
 
@@ -215,32 +224,20 @@ def emit_plot_data(reports, out_dir) -> tuple[str, str]:
     the quantile file carries the report's clipped-MAP quantiles plus the
     generating value per parameter as the reference line.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     long_path = os.path.join(out_dir, "estimates_long.csv")
     quant_path = os.path.join(out_dir, "quantiles.csv")
     reports = [r for r in reports if isinstance(r, ReplicationReport)]
-    with open(long_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario_id", "estimator", "parameter", "replicate", "estimate"])
-        for rep in reports:
-            for est in rep.scenario.estimators:
-                for p in PARAM_NAMES:
-                    vals = rep.estimates[(est, p)]
-                    for r, v in enumerate(vals, start=1):
-                        writer.writerow([rep.scenario.scenario_id, est, p, r, repr(float(v))])
-    with open(quant_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario_id", "estimator", "parameter", "q05", "q50", "q95", "truth"])
-        for rep in reports:
-            pop = rep.scenario.population
-            truth = {"b0": pop.mu0, "sigma_a": pop.sigma_a0, "sigma_eps": pop.sigma_eps0}
-            for est in rep.scenario.estimators:
-                for p in PARAM_NAMES:
-                    q05, q50, q95 = rep.quantiles[(est, p)]
-                    writer.writerow([rep.scenario.scenario_id, est, p,
-                                     repr(q05), repr(q50), repr(q95), repr(float(truth[p]))])
+    cells = [(rep, est, p) for rep in reports
+             for est in rep.scenario.estimators for p in PARAM_NAMES]
+    write_csv(long_path, ["scenario_id", "estimator", "parameter", "replicate", "estimate"],
+              ([rep.scenario.scenario_id, est, p, r, float(v)]
+               for rep, est, p in cells
+               for r, v in enumerate(rep.estimates[(est, p)], start=1)))
+    write_csv(quant_path,
+              ["scenario_id", "estimator", "parameter", "q05", "q50", "q95", "truth"],
+              ([rep.scenario.scenario_id, est, p, *rep.quantiles[(est, p)],
+                float(_truth(rep.scenario.population)[p])] for rep, est, p in cells))
     return long_path, quant_path
 
 

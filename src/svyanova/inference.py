@@ -10,20 +10,28 @@ Three routes share one pseudo-posterior target:
   the likelihood with every cluster effect marginalized out analytically;
 * simplex (Nelder-Mead) maximization of that integrated posterior.
 
+Every density is computed once, from the per-cluster weighted sums in
+``_SuffStats``.  The public ``fc_*`` functions are views of the
+conditionals ``run_gibbs`` draws from; the integrated-MCMC and MAP routes
+share one integrated log posterior on (mu, log tau_a, log tau_eps).  The
+per-unit ``augmented_logpseudo*`` densities are the independent reference
+the tests check those closed forms against.
+
 Precisions ``tau`` are carried internally; reported scales are
 ``sigma = tau**-0.5`` applied per draw.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from scipy.optimize import minimize
 
+from .csvio import write_csv
 from .errors import ChainDivergenceError, ConfigError
 from .rng import substream
 
@@ -47,8 +55,11 @@ class PriorConfig:
     beta2: float = 0.1
 
     def __post_init__(self):
-        if min(self.alpha1, self.beta1, self.alpha2, self.beta2) <= 0:
-            raise ConfigError("prior hyperparameters must be positive")
+        for key in ("alpha1", "beta1", "alpha2", "beta2"):
+            value = getattr(self, key)
+            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+                raise ConfigError(f"prior hyperparameter {key} must be finite and "
+                                  f"positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,24 +141,15 @@ class DrawsMatrix:
     def point_estimates(self) -> dict:
         return {p: self.mean(p) for p in PARAM_NAMES}
 
-    def state(self, i: int) -> ParamState:
-        return ParamState(mu=float(self.mu[i]), tau_a=float(self.tau_a[i]),
-                          tau_eps=float(self.tau_eps[i]),
-                          a=None if self.a is None else self.a[i])
-
     def to_csv(self, path, include_effects: bool = False) -> None:
         header = ["iteration", "mu", "sigma_a", "sigma_eps"]
         n_eff = self.a.shape[1] if (include_effects and self.a is not None) else 0
         header += [f"a_{k + 1}" for k in range(n_eff)]
         its = self.iterations if self.iterations is not None else np.arange(self.n_draws)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.n_draws):
-                row = [int(its[i]), repr(float(self.mu[i])),
-                       repr(float(self.sigma_a[i])), repr(float(self.sigma_eps[i]))]
-                row += [repr(float(v)) for v in (self.a[i][:n_eff] if n_eff else ())]
-                writer.writerow(row)
+        sigma_a, sigma_eps = self.sigma_a, self.sigma_eps
+        write_csv(path, header,
+                  ([int(its[i]), self.mu[i], sigma_a[i], sigma_eps[i],
+                    *(self.a[i][:n_eff] if n_eff else ())] for i in range(self.n_draws)))
 
     def summary(self, mode: str = "", converged: bool = True) -> dict:
         qs = {p: dict(zip(("q05", "q50", "q95"),
@@ -164,13 +166,22 @@ class DrawsMatrix:
 
 @dataclass(frozen=True)
 class _SuffStats:
-    """Per-cluster weighted sums; everything the three routes consume."""
+    """Per-cluster weighted sums and their totals; everything the three
+    routes consume.  Built once per chain."""
 
     w_k: np.ndarray    # cluster weights
     sw: np.ndarray     # sum_j w_jk
     swy: np.ndarray    # sum_j w_jk y_jk
     swyy: np.ndarray   # sum_j w_jk y_jk^2
     n_k: np.ndarray    # realized units per cluster
+    sw_tot: float = field(init=False)
+    swy_tot: float = field(init=False)
+    w_k_tot: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sw_tot", float(self.sw.sum()))
+        object.__setattr__(self, "swy_tot", float(self.swy.sum()))
+        object.__setattr__(self, "w_k_tot", float(self.w_k.sum()))
 
     @property
     def m(self) -> int:
@@ -192,6 +203,29 @@ def _suffstats(sample, weights) -> _SuffStats:
 # ---------------------------------------------------------------------------
 # Full conditional pseudo-posterior distributions (augmented model)
 # ---------------------------------------------------------------------------
+# The _cond_* functions are what run_gibbs draws from; the public fc_* are
+# views of them for one sample.
+
+def _cond_a(stats: _SuffStats, mu: float, tau_a: float, tau_eps: float):
+    phi = tau_eps * stats.sw + tau_a * stats.w_k
+    return tau_eps * (stats.swy - mu * stats.sw) / phi, phi
+
+
+def _cond_mu(stats: _SuffStats, a: np.ndarray, tau_eps: float):
+    return (stats.swy_tot - float(np.sum(a * stats.sw))) / stats.sw_tot, \
+        tau_eps * stats.sw_tot
+
+
+def _cond_tau_a(stats: _SuffStats, a: np.ndarray, prior: PriorConfig):
+    return 0.5 * stats.w_k_tot + prior.alpha1, \
+        0.5 * float(np.sum(stats.w_k * a ** 2)) + prior.beta1
+
+
+def _cond_tau_eps(stats: _SuffStats, mu: float, a: np.ndarray, prior: PriorConfig):
+    loc = mu + a  # sum_j w_jk (y_jk - loc_k)^2 = swyy - 2 loc swy + loc^2 sw
+    ssr = float(np.sum(stats.swyy - 2.0 * loc * stats.swy + loc ** 2 * stats.sw))
+    return 0.5 * stats.sw_tot + prior.alpha2, 0.5 * ssr + prior.beta2
+
 
 def fc_a_k(k: int, mu: float, tau_a: float, tau_eps: float, sample, weights):
     """Normal full conditional for cluster effect a_k: returns (h_k, phi_k).
@@ -199,11 +233,8 @@ def fc_a_k(k: int, mu: float, tau_a: float, tau_eps: float, sample, weights):
     phi_k = tau_eps * sum_j w_jk + tau_a * w_k,
     h_k = tau_eps * sum_j w_jk (y_jk - mu) / phi_k.
     """
-    w = weights.w_jk[k]
-    y = sample.y_s[k]
-    phi = tau_eps * w.sum() + tau_a * weights.w_k[k]
-    e = tau_eps * float(np.sum(w * (y - mu)))
-    return e / phi, float(phi)
+    h, phi = _cond_a(_suffstats(sample, weights), mu, tau_a, tau_eps)
+    return float(h[k]), float(phi[k])
 
 
 def fc_mu(a: np.ndarray, tau_eps: float, sample, weights):
@@ -211,32 +242,24 @@ def fc_mu(a: np.ndarray, tau_eps: float, sample, weights):
 
     mean = sum w_jk (y_jk - a_k) / sum w_jk, precision = tau_eps * sum w_jk.
     """
-    num = den = 0.0
-    for k in range(len(sample.y_s)):
-        w = weights.w_jk[k]
-        num += float(np.sum(w * (sample.y_s[k] - a[k])))
-        den += float(w.sum())
-    return num / den, tau_eps * den
+    return _cond_mu(_suffstats(sample, weights), np.asarray(a, dtype=float), tau_eps)
 
 
 def fc_tau_a(a: np.ndarray, w_k: np.ndarray, prior: PriorConfig):
     """Inverse-gamma full conditional for tau_a^-1: returns (shape, scale).
 
-    Sampling tau_a itself is a Gamma(shape, rate=scale) draw.
+    Sampling tau_a itself is a Gamma(shape, rate=scale) draw.  Only the
+    cluster weights enter, so the clusters are given no units.
     """
-    return 0.5 * float(np.sum(w_k)) + prior.alpha1, \
-        0.5 * float(np.sum(w_k * np.asarray(a) ** 2)) + prior.beta1
+    w_k = np.asarray(w_k, dtype=float)
+    zeros = np.zeros_like(w_k)
+    return _cond_tau_a(_SuffStats(w_k, zeros, zeros, zeros, zeros),
+                       np.asarray(a, dtype=float), prior)
 
 
 def fc_tau_eps(mu: float, a: np.ndarray, sample, weights, prior: PriorConfig):
     """Inverse-gamma full conditional for tau_eps^-1: returns (shape, scale)."""
-    sw = ssr = 0.0
-    for k in range(len(sample.y_s)):
-        w = weights.w_jk[k]
-        r = sample.y_s[k] - mu - a[k]
-        sw += float(w.sum())
-        ssr += float(np.sum(w * r ** 2))
-    return 0.5 * sw + prior.alpha2, 0.5 * ssr + prior.beta2
+    return _cond_tau_eps(_suffstats(sample, weights), mu, np.asarray(a, dtype=float), prior)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +324,37 @@ def _integrated_loglik_stats(mu: float, tau_a: float, tau_eps: float,
     # not just the integral up to a theta-free constant.
     if tau_a <= 0 or tau_eps <= 0:
         raise ValueError("precisions must be positive")
-    phi = tau_eps * stats.sw + tau_a * stats.w_k
-    h = tau_eps * (stats.swy - mu * stats.sw) / phi
+    h, phi = _cond_a(stats, mu, tau_a, tau_eps)
     sw_res = stats.swyy - 2.0 * mu * stats.swy + mu ** 2 * stats.sw
     ll = (0.5 * phi * h ** 2 - 0.5 * np.log(phi)
           + 0.5 * stats.w_k * math.log(tau_a) + 0.5 * stats.sw * math.log(tau_eps)
           - 0.5 * (stats.sw + stats.w_k - 1.0) * math.log(2 * math.pi)
           - 0.5 * tau_eps * sw_res)
     return float(ll.sum())
+
+
+def _theta_tuple(theta) -> tuple[float, float, float]:
+    if isinstance(theta, ParamState):
+        return float(theta.mu), float(theta.tau_a), float(theta.tau_eps)
+    mu, tau_a, tau_eps = theta
+    return float(mu), float(tau_a), float(tau_eps)
+
+
+def _integrated_logpost_stats(mu: float, tau_a: float, tau_eps: float,
+                              stats: _SuffStats, prior: PriorConfig) -> float:
+    return (_integrated_loglik_stats(mu, tau_a, tau_eps, stats)
+            + _gamma_logpdf(tau_a, prior.alpha1, prior.beta1)
+            + _gamma_logpdf(tau_eps, prior.alpha2, prior.beta2))
+
+
+def _integrated_logpost_x(x: np.ndarray, stats: _SuffStats, prior: PriorConfig) -> float:
+    """Integrated log posterior at x = (mu, log tau_a, log tau_eps), as a
+    density in the precisions (no Jacobian); -inf where |log tau| > 600,
+    beyond which exp over- or underflows."""
+    mu, lta, lte = x
+    if abs(lta) > 600 or abs(lte) > 600:
+        return -math.inf
+    return _integrated_logpost_stats(mu, math.exp(lta), math.exp(lte), stats, prior)
 
 
 def integrated_loglik(theta, sample, weights) -> float:
@@ -319,21 +365,13 @@ def integrated_loglik(theta, sample, weights) -> float:
     augmented integrand; the closed form is the reciprocal of a normal
     density at h_k times weighted normal kernels in tau_a and tau_eps.
     """
-    if isinstance(theta, ParamState):
-        mu, tau_a, tau_eps = theta.mu, theta.tau_a, theta.tau_eps
-    else:
-        mu, tau_a, tau_eps = theta
-    return _integrated_loglik_stats(float(mu), float(tau_a), float(tau_eps),
-                                    _suffstats(sample, weights))
+    return _integrated_loglik_stats(*_theta_tuple(theta), _suffstats(sample, weights))
 
 
 def integrated_logposterior(theta, sample, weights, prior: PriorConfig) -> float:
     """integrated_loglik plus log priors; the MAP objective."""
-    if isinstance(theta, ParamState):
-        tau_a, tau_eps = theta.tau_a, theta.tau_eps
-    else:
-        tau_a, tau_eps = theta[1], theta[2]
-    return integrated_loglik(theta, sample, weights) + log_priors(tau_a, tau_eps, prior)
+    return _integrated_logpost_stats(*_theta_tuple(theta), _suffstats(sample, weights),
+                                     prior)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +381,20 @@ def integrated_logposterior(theta, sample, weights, prior: PriorConfig) -> float
 def _auto_init(stats: _SuffStats) -> tuple[float, float, float]:
     """Moment-based start: weighted mean, inverse weighted within-cluster
     residual variance, inverse variance of cluster means (floored at 1e-4)."""
-    mu0 = float(stats.swy.sum() / stats.sw.sum())
+    mu0 = stats.swy_tot / stats.sw_tot
     ybar = stats.swy / stats.sw
     wss = float(np.sum(stats.swyy - stats.sw * ybar ** 2))
-    var_eps = max(wss / stats.sw.sum(), 1e-8)
+    var_eps = max(wss / stats.sw_tot, 1e-8)
     var_a = max(float(np.var(ybar)), 1e-4)
     return mu0, 1.0 / var_a, 1.0 / var_eps
 
 
-def _resolve_init(chain: ChainConfig, stats: _SuffStats) -> tuple[float, float, float]:
-    if isinstance(chain.init, ParamState):
-        return chain.init.mu, chain.init.tau_a, chain.init.tau_eps
-    if chain.init == "auto":
+def _resolve_init(init: ParamState | str, stats: _SuffStats) -> tuple[float, float, float]:
+    if isinstance(init, ParamState):
+        return init.mu, init.tau_a, init.tau_eps
+    if init == "auto":
         return _auto_init(stats)
-    raise ConfigError(f"unknown chain init: {chain.init!r}")
+    raise ConfigError(f"unknown chain init: {init!r}")
 
 
 def _clamp_tau(tau: float, what: str, it: int, warned: set) -> float:
@@ -373,36 +411,27 @@ def _clamp_tau(tau: float, what: str, it: int, warned: set) -> float:
 def run_gibbs(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:
     """Gibbs scan over (a_1..a_m | ...), (mu | ...), (tau_a | ...), (tau_eps | ...).
 
-    The per-iteration updates are the vectorized counterparts of the
-    ``fc_*`` functions.  Deterministic given ``chain.seed``; raises
+    Each update draws from the same conditional the public ``fc_*``
+    function returns.  Deterministic given ``chain.seed``; raises
     ChainDivergenceError (with the iteration index) on a non-finite state.
     """
     stats = _suffstats(sample, weights)
     rng = substream(chain.seed)
-    mu, tau_a, tau_eps = _resolve_init(chain, stats)
-    m = stats.m
-    sw_tot = float(stats.sw.sum())
-    swy_tot = float(stats.swy.sum())
-    w_k_tot = float(stats.w_k.sum())
+    mu, tau_a, tau_eps = _resolve_init(chain.init, stats)
     warned: set = set()
 
     kept = []
     for it in range(chain.n_iterations):
-        phi = tau_eps * stats.sw + tau_a * stats.w_k
-        h = tau_eps * (stats.swy - mu * stats.sw) / phi
-        a = h + rng.standard_normal(m) / np.sqrt(phi)
+        h, phi = _cond_a(stats, mu, tau_a, tau_eps)
+        a = h + rng.standard_normal(stats.m) / np.sqrt(phi)
 
-        mean_mu = (swy_tot - float(np.sum(a * stats.sw))) / sw_tot
-        mu = mean_mu + rng.standard_normal() / math.sqrt(tau_eps * sw_tot)
+        mean_mu, prec_mu = _cond_mu(stats, a, tau_eps)
+        mu = mean_mu + rng.standard_normal() / math.sqrt(prec_mu)
 
-        shape1 = 0.5 * w_k_tot + prior.alpha1
-        scale1 = 0.5 * float(np.sum(stats.w_k * a ** 2)) + prior.beta1
+        shape1, scale1 = _cond_tau_a(stats, a, prior)
         tau_a = _clamp_tau(rng.gamma(shape1, 1.0 / scale1), "tau_a", it, warned)
 
-        loc = mu + a
-        ssr = float(np.sum(stats.swyy - 2.0 * loc * stats.swy + loc ** 2 * stats.sw))
-        shape2 = 0.5 * sw_tot + prior.alpha2
-        scale2 = 0.5 * ssr + prior.beta2
+        shape2, scale2 = _cond_tau_eps(stats, mu, a, prior)
         tau_eps = _clamp_tau(rng.gamma(shape2, 1.0 / scale2), "tau_eps", it, warned)
 
         if not (math.isfinite(mu) and np.isfinite(a).all()):
@@ -418,32 +447,25 @@ def run_gibbs(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsM
 def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:
     """Adaptive random-walk Metropolis on x = (mu, log tau_a, log tau_eps).
 
-    The target is integrated_loglik + log priors + the log-Jacobian of the
-    log transforms.  Per-coordinate proposal scales track the running chain
-    standard deviations and a global scale adapts toward 0.234 acceptance;
-    adaptation freezes after burn-in, over which the acceptance rate is
-    recorded.
+    The target is the integrated log posterior plus the log-Jacobian
+    log tau_a + log tau_eps of the log transforms.  Per-coordinate proposal
+    scales track the running chain standard deviations and a global scale
+    adapts toward 0.234 acceptance; adaptation freezes after burn-in, over
+    which the acceptance rate is recorded.
     """
     stats = _suffstats(sample, weights)
     rng = substream(chain.seed)
-    mu0, ta0, te0 = _resolve_init(chain, stats)
+    mu0, ta0, te0 = _resolve_init(chain.init, stats)
     x = np.array([mu0, math.log(ta0), math.log(te0)])
 
     def logpost(v: np.ndarray) -> float:
-        mu, lta, lte = v
-        if abs(lta) > 600 or abs(lte) > 600:
-            return -math.inf
-        tau_a, tau_eps = math.exp(lta), math.exp(lte)
-        ll = _integrated_loglik_stats(mu, tau_a, tau_eps, stats)
-        lp = (prior.alpha1 * lta - prior.beta1 * tau_a
-              + prior.alpha2 * lte - prior.beta2 * tau_eps)
-        return ll + lp
+        return _integrated_logpost_x(v, stats, prior) + v[1] + v[2]
 
     lp = logpost(x)
     if not math.isfinite(lp):
         raise ChainDivergenceError(0, "non-finite log posterior at initialization")
 
-    base_sd = np.array([1.0 / math.sqrt(te0 * stats.sw.sum()),
+    base_sd = np.array([1.0 / math.sqrt(te0 * stats.sw_tot),
                         math.sqrt(2.0 / stats.m), math.sqrt(2.0 / stats.n_k.sum())])
     base_sd = np.maximum(base_sd, 1e-3)
     log_scale = math.log(2.38 / math.sqrt(3.0))
@@ -493,21 +515,12 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
     the 1e-9 objective tolerance within ``max_evals`` evaluations.
     """
     stats = _suffstats(sample, weights)
-    if isinstance(init, ParamState):
-        mu0, ta0, te0 = init.mu, init.tau_a, init.tau_eps
-    else:
-        mu0, ta0, te0 = _auto_init(stats)
+    mu0, ta0, te0 = _resolve_init(init, stats)
     x0 = np.array([mu0, math.log(ta0), math.log(te0)])
     rng = substream(seed, 7)
 
     def neg_obj(v: np.ndarray) -> float:
-        mu, lta, lte = v
-        if abs(lta) > 600 or abs(lte) > 600:
-            return math.inf
-        tau_a, tau_eps = math.exp(lta), math.exp(lte)
-        ll = _integrated_loglik_stats(mu, tau_a, tau_eps, stats)
-        return -(ll + _gamma_logpdf(tau_a, prior.alpha1, prior.beta1)
-                 + _gamma_logpdf(tau_eps, prior.alpha2, prior.beta2))
+        return -_integrated_logpost_x(v, stats, prior)
 
     best = None
     converged = False
@@ -523,11 +536,6 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
     theta = ParamState(mu=float(mu), tau_a=float(math.exp(lta)), tau_eps=float(math.exp(lte)))
     ll = _integrated_loglik_stats(theta.mu, theta.tau_a, theta.tau_eps, stats)
     return theta, float(ll), converged
-
-
-def map_objective(theta: ParamState, sample, weights, prior: PriorConfig) -> float:
-    """The quantity map_estimate maximizes (integrated log posterior)."""
-    return integrated_logposterior(theta, sample, weights, prior)
 
 
 def map_summary(theta: ParamState, loglik: float, converged: bool, mode: str = "") -> dict:

@@ -8,11 +8,11 @@ on them (cluster sizes on ``a0``, unit sizes on ``eps0``).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import ConfigError
 from .rng import substream
 
@@ -83,9 +83,6 @@ class Population:
     def eps_flat(self) -> np.ndarray:
         return np.concatenate(self.eps0)
 
-    def y_flat(self) -> np.ndarray:
-        return np.concatenate(self.y)
-
 
 def generate_population(config: PopulationConfig) -> Population:
     """Draw a population from the generating model.
@@ -104,16 +101,8 @@ def generate_population(config: PopulationConfig) -> Population:
 
 
 def population_to_csv(population: Population, path) -> None:
-    """Dump the population as (cluster_id, unit_id, a0, eps0, y) rows.
-
-    Floats are written with ``repr`` so values round-trip exactly.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "unit_id", "a0", "eps0", "y"])
-        for h in range(population.M):
-            a = repr(float(population.a0[h]))
-            for l in range(population.config.N_h[h]):
-                writer.writerow(
-                    [h, l, a, repr(float(population.eps0[h][l])), repr(float(population.y[h][l]))]
-                )
+    """Dump the population as (cluster_id, unit_id, a0, eps0, y) rows;
+    values round-trip exactly."""
+    write_csv(path, ["cluster_id", "unit_id", "a0", "eps0", "y"],
+              ([h, l, population.a0[h], population.eps0[h][l], population.y[h][l]]
+               for h in range(population.M) for l in range(population.config.N_h[h])))

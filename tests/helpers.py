@@ -15,14 +15,25 @@ from svyanova.design import SampleDraw, WeightMode, WeightSet
 from svyanova.inference import ParamState, PriorConfig
 
 
-def make_instance(seed: int, m_max: int = 5, nk_max: int = 4, w_range=(1.0, 5.0)):
-    """Random small estimation instance: sample, double-mode weights, params."""
+def make_instance(seed: int, m_max: int = 5, nk_max: int = 4, w_range=(1.0, 5.0),
+                  log_weights: bool = False):
+    """Random small estimation instance: sample, double-mode weights, params.
+
+    Cluster and conditional weights are uniform on ``w_range``, or
+    log-uniform with ``log_weights`` so that they span its decades.
+    """
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, m_max + 1))
     n_k = rng.integers(1, nk_max + 1, size=m)
     y = [rng.normal(0.0, 2.0, size=int(n)) for n in n_k]
-    w_k = rng.uniform(*w_range, size=m)
-    w_cond = [rng.uniform(*w_range, size=int(n)) for n in n_k]
+
+    def draw_weights(size):
+        if log_weights:
+            return np.exp(rng.uniform(*np.log(w_range), size=size))
+        return rng.uniform(*w_range, size=size)
+
+    w_k = draw_weights(m)
+    w_cond = [draw_weights(int(n)) for n in n_k]
     w_jk = [w_k[i] * w_cond[i] for i in range(m)]
     sample = SampleDraw(
         cluster_ids=np.arange(m),

@@ -113,6 +113,17 @@ class TestPrecisionConditionals:
         assert scale == pytest.approx(prior.beta2 + 0.5 * np.sum((y - 2.0) ** 2))
 
 
+# Seeds 0-19 are the default small instances; the named edge instances add
+# single-unit single-cluster samples, cluster and unit weights spanning
+# 0.01-1000, and up to 20 clusters of up to 20 units.
+CASES = [pytest.param({"seed": s}, id=str(s)) for s in range(20)] + [
+    pytest.param({"seed": s, **kw}, id=f"{name}-{s}")
+    for name, kw in (("m1-single-unit", {"m_max": 1, "nk_max": 1}),
+                     ("weights-1e-2-1e3", {"w_range": (0.01, 1000.0), "log_weights": True}),
+                     ("m20-nk20", {"m_max": 20, "nk_max": 20}))
+    for s in range(4)]
+
+
 class TestConjugacyAgainstJoint:
     """Each full conditional must match the normalized grid restriction of
     the augmented joint along its own coordinate."""
@@ -141,9 +152,9 @@ class TestConjugacyAgainstJoint:
             out[i] = augmented_logpseudoposterior(s, sample, weights, prior)
         return out
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_a_k_conditional(self, seed):
-        instance = make_instance(seed)
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_k_conditional(self, case):
+        instance = make_instance(**case)
         sample, weights, state, prior = instance
         h, phi = fc_a_k(0, state.mu, state.tau_a, state.tau_eps, sample, weights)
         grid = np.linspace(h - 5 / math.sqrt(phi), h + 5 / math.sqrt(phi), self.GRID)
@@ -152,9 +163,9 @@ class TestConjugacyAgainstJoint:
         closed /= closed.sum()
         np.testing.assert_allclose(joint, closed, rtol=1e-6)
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_mu_conditional(self, seed):
-        instance = make_instance(seed)
+    @pytest.mark.parametrize("case", CASES)
+    def test_mu_conditional(self, case):
+        instance = make_instance(**case)
         sample, weights, state, prior = instance
         mean, prec = fc_mu(state.a, state.tau_eps, sample, weights)
         grid = np.linspace(mean - 5 / math.sqrt(prec), mean + 5 / math.sqrt(prec), self.GRID)
@@ -163,9 +174,9 @@ class TestConjugacyAgainstJoint:
         closed /= closed.sum()
         np.testing.assert_allclose(joint, closed, rtol=1e-6)
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_tau_a_conditional(self, seed):
-        instance = make_instance(seed)
+    @pytest.mark.parametrize("case", CASES)
+    def test_tau_a_conditional(self, case):
+        instance = make_instance(**case)
         sample, weights, state, prior = instance
         shape, scale = fc_tau_a(state.a, weights.w_k, prior)
         dist = gamma(a=shape, scale=1.0 / scale)  # tau_a ~ Gamma(shape, rate=scale)
@@ -175,9 +186,9 @@ class TestConjugacyAgainstJoint:
         closed /= closed.sum()
         np.testing.assert_allclose(joint, closed, rtol=1e-6)
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_tau_eps_conditional(self, seed):
-        instance = make_instance(seed)
+    @pytest.mark.parametrize("case", CASES)
+    def test_tau_eps_conditional(self, case):
+        instance = make_instance(**case)
         sample, weights, state, prior = instance
         shape, scale = fc_tau_eps(state.mu, state.a, sample, weights, prior)
         dist = gamma(a=shape, scale=1.0 / scale)

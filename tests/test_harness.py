@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from svyanova.design import ClusterDesign, TwoStageDesign, UnitDesign
+from svyanova.errors import ConfigError
 from svyanova.harness import (ESTIMATORS, ReplicationReport, Scenario,
                               ScenarioFailure, aggregate_quantiles,
                               emit_plot_data, load_scenarios, report_to_json,
@@ -218,6 +219,14 @@ class TestScenarioFiles:
                        "grid: [{M: 40, m: 10}]\nR: 1\nbase_seed: 1\n")
         assert load_scenarios(cfg)[0].base_seed == 1
         assert load_scenarios(cfg, base_seed=99)[0].base_seed == 99
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-1.0"])
+    def test_invalid_prior_fails_at_load(self, tmp_path, value):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("name: x\npopulation: {N_h: 8}\n"
+                       f"grid: [{{M: 40, m: 10}}]\nR: 1\npriors: {{beta2: {value}}}\n")
+        with pytest.raises(ConfigError, match="beta2"):
+            load_scenarios(cfg)
 
     def test_bundled_paper_grids(self):
         from importlib import resources

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from svyanova.design import WeightMode, build_weights
-from svyanova.inference import (ParamState, PriorConfig, map_estimate,
-                                map_objective)
+from svyanova.errors import ConfigError
+from svyanova.inference import (ChainConfig, ParamState, PriorConfig,
+                                integrated_logposterior, map_estimate, run_gibbs,
+                                run_integrated_mcmc)
 from svyanova.popgen import PopulationConfig, generate_population
 
 from helpers import census_sample, make_instance
@@ -39,8 +41,17 @@ class TestMapEstimate:
         sample, weights, state, prior = make_instance(8)
         init = ParamState(state.mu, state.tau_a, state.tau_eps)
         theta, _, _ = map_estimate(sample, weights, prior, init=init)
-        assert map_objective(theta, sample, weights, prior) >= \
-            map_objective(init, sample, weights, prior)
+        assert integrated_logposterior(theta, sample, weights, prior) >= \
+            integrated_logposterior(init, sample, weights, prior)
+
+    def test_unknown_init_rejected(self):
+        sample, weights, _, prior = make_instance(2)
+        with pytest.raises(ConfigError, match="bogus"):
+            map_estimate(sample, weights, prior, init="bogus")
+        chain = ChainConfig(n_iterations=10, n_burnin=5, init="bogus")
+        for run in (run_gibbs, run_integrated_mcmc):
+            with pytest.raises(ConfigError, match="bogus"):
+                run(sample, weights, prior, chain)
 
     def test_deterministic_given_seed(self):
         sample, weights, _, prior = make_instance(4)

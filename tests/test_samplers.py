@@ -93,6 +93,12 @@ class TestGibbs:
         with pytest.raises(ConfigError):
             ChainConfig(thin=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("key", ["alpha1", "beta1", "alpha2", "beta2"])
+    def test_invalid_prior_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            PriorConfig(**{key: value})
+
 
 class TestCensusReduction:
     def test_all_modes_identical_at_census(self, small_population):

@@ -137,7 +137,7 @@ def main(argv=None) -> int:
             return _cmd_diagnose(args)
         return _cmd_estimate(args)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

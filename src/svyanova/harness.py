@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import yaml
@@ -23,7 +23,7 @@ from .csvio import write_csv
 from .design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                      build_weights, draw_two_stage_sample)
 from .errors import ConfigError
-from .inference import (ChainConfig, PriorConfig, PARAM_NAMES, map_estimate,
+from .inference import (ChainConfig, ParamState, PriorConfig, PARAM_NAMES, map_estimate,
                         run_gibbs, run_integrated_mcmc)
 from .popgen import PopulationConfig, generate_population
 from .rng import derive_seed
@@ -41,6 +41,15 @@ _MAP_CLIP = 10.0  # reported MAP estimates are truncated at +/-10 in quantile ou
 
 # seed-stream tags
 _POP, _DESIGN, _CHAIN = 1, 2, 3
+
+# Keys a scenario file may use.  The population and design sections and the
+# grid points are merged into one key set per scenario; only a grid point
+# may override R.
+_FILE_KEYS = ("name", "population", "design", "grid", "estimators", "R", "base_seed",
+              "chain", "priors", "normalize_weights", "desk")
+_SECTION_KEYS = ("M", "N_h", "mu0", "sigma_a0", "sigma_eps0", "cluster", "unit", "m", "n_k")
+_GRID_KEYS = _SECTION_KEYS + ("R",)
+_DESK_KEYS = ("M", "m", "R")
 
 
 @dataclass(frozen=True)
@@ -242,12 +251,15 @@ def emit_plot_data(reports, out_dir) -> tuple[str, str]:
 
 
 def report_to_json(report: ReplicationReport) -> dict:
+    """The resolved scenario, quantiles, per-replicate estimator diagnostics
+    (acceptance rate, MAP convergence and log-likelihood) and failures."""
     scen = report.scenario
+    chain, init = scen.chain, scen.chain.init
     return {
         "scenario_id": scen.scenario_id,
         "scenario": {
             "M": scen.population.M,
-            "N_h": scen.population.N_h[0],
+            "N_h": list(scen.population.N_h),
             "mu0": scen.population.mu0,
             "sigma_a0": scen.population.sigma_a0,
             "sigma_eps0": scen.population.sigma_eps0,
@@ -259,9 +271,16 @@ def report_to_json(report: ReplicationReport) -> dict:
             "base_seed": scen.base_seed,
             "estimators": list(scen.estimators),
             "normalize_weights": scen.normalize_weights,
+            # the chain seed is derived per replicate from base_seed
+            "chain": {"n_iterations": chain.n_iterations, "n_burnin": chain.n_burnin,
+                      "thin": chain.thin,
+                      "init": ({"mu": init.mu, "tau_a": init.tau_a, "tau_eps": init.tau_eps}
+                               if isinstance(init, ParamState) else init)},
+            "priors": asdict(scen.priors),
         },
         "quantiles": {f"{e}/{p}": list(report.quantiles[(e, p)])
                       for e in scen.estimators for p in PARAM_NAMES},
+        "diagnostics": report.diagnostics,
         "n_failures": sum(len(f) for f in report.failures),
         "failures": [f for f in report.failures if f],
         "wall_time_s": report.wall_time,
@@ -272,12 +291,23 @@ def report_to_json(report: ReplicationReport) -> dict:
 # Scenario files
 # ---------------------------------------------------------------------------
 
+def _check_keys(section: dict, known: tuple[str, ...], where: str) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where}; "
+                              f"expected one of {', '.join(known)}")
+
+
 def _expand_grid(grid) -> list[dict]:
     if grid is None:
         return [{}]
     if isinstance(grid, list):
-        return [dict(pt) for pt in grid]
+        points = [dict(pt) for pt in grid]
+        for i, pt in enumerate(points):
+            _check_keys(pt, _GRID_KEYS, f"grid point {i}")
+        return points
     # mapping of axes -> full cross product, stable axis order
+    _check_keys(grid, _GRID_KEYS, "grid axes")
     points = [{}]
     for axis, values in grid.items():
         points = [{**pt, axis: v} for pt in points for v in values]
@@ -294,21 +324,26 @@ def load_scenarios(path, desk: bool = False, base_seed: int | None = None) -> li
     The file is a YAML key-value tree with a base configuration and an
     optional ``grid`` (list of explicit points, or a mapping of axes whose
     cross product is taken).  With ``desk=True`` the integer divisors under
-    the ``desk`` key are applied to M, m, and R.
+    the ``desk`` key are applied to M, m, and R.  An unknown key raises
+    ConfigError naming the key and where it was found.
     """
     with open(path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError(f"scenario file {path} is not a key-value tree")
+    _check_keys(cfg, _FILE_KEYS, "the top level")
     name = cfg.get("name", "scenario")
     pop = dict(cfg.get("population", {}))
     base_design = dict(cfg.get("design", {}))
+    _check_keys(pop, _SECTION_KEYS, "population")
+    _check_keys(base_design, _SECTION_KEYS, "design")
     chain = ChainConfig(**cfg.get("chain", {}))
     priors = PriorConfig(**cfg.get("priors", {}))
     estimators = tuple(cfg.get("estimators", list(ESTIMATORS)))
     seed = int(base_seed if base_seed is not None else cfg.get("base_seed", 0))
     R = int(cfg.get("R", 1))
-    desk_factors = cfg.get("desk", {}) if desk else {}
+    desk_factors = cfg.get("desk", {})  # consulted only with desk=True
+    _check_keys(desk_factors, _DESK_KEYS, "desk")
 
     scenarios = []
     for idx, point in enumerate(_expand_grid(cfg.get("grid"))):

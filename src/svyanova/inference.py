@@ -11,11 +11,21 @@ Three routes share one pseudo-posterior target:
 * simplex (Nelder-Mead) maximization of that integrated posterior.
 
 Every density is computed once, from the per-cluster weighted sums in
-``_SuffStats``.  The public ``fc_*`` functions are views of the
-conditionals ``run_gibbs`` draws from; the integrated-MCMC and MAP routes
-share one integrated log posterior on (mu, log tau_a, log tau_eps).  The
-per-unit ``augmented_logpseudo*`` densities are the independent reference
-the tests check those closed forms against.
+``_SuffStats`` and their totals, taken once per chain.  The public ``fc_*``
+functions are views of the conditionals ``run_gibbs`` draws from; the
+integrated-MCMC and MAP routes share one integrated log posterior on
+(mu, log tau_a, log tau_eps).  The per-unit ``augmented_logpseudo*``
+densities are the independent reference the tests check those closed
+forms against.
+
+Per iteration the kernels do only the vector work they need: a Gibbs sweep
+draws the m cluster effects and reduces them to four dot products, from
+which the mu, tau_a and tau_eps conditionals follow over the totals; the
+integrated log posterior sums only phi h^2 and log phi over clusters; the
+random-walk step carries its state as floats.  Each chain draws
+``standard_normal(m)``, ``standard_normal()`` and two ``gamma`` per Gibbs
+sweep and ``standard_normal(3)``, ``uniform()`` per RWM step, in that
+order; a change to these calls changes the random streams.
 
 Precisions ``tau`` are carried internally; reported scales are
 ``sigma = tau**-0.5`` applied per draw.
@@ -176,11 +186,13 @@ class _SuffStats:
     n_k: np.ndarray    # realized units per cluster
     sw_tot: float = field(init=False)
     swy_tot: float = field(init=False)
+    swyy_tot: float = field(init=False)
     w_k_tot: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sw_tot", float(self.sw.sum()))
         object.__setattr__(self, "swy_tot", float(self.swy.sum()))
+        object.__setattr__(self, "swyy_tot", float(self.swyy.sum()))
         object.__setattr__(self, "w_k_tot", float(self.w_k.sum()))
 
     @property
@@ -204,26 +216,34 @@ def _suffstats(sample, weights) -> _SuffStats:
 # Full conditional pseudo-posterior distributions (augmented model)
 # ---------------------------------------------------------------------------
 # The _cond_* functions are what run_gibbs draws from; the public fc_* are
-# views of them for one sample.
+# views of them for one sample.  The conditionals of mu, tau_a and tau_eps
+# see the cluster effects only through the four sums of _effect_sums.
 
 def _cond_a(stats: _SuffStats, mu: float, tau_a: float, tau_eps: float):
     phi = tau_eps * stats.sw + tau_a * stats.w_k
     return tau_eps * (stats.swy - mu * stats.sw) / phi, phi
 
 
-def _cond_mu(stats: _SuffStats, a: np.ndarray, tau_eps: float):
-    return (stats.swy_tot - float(np.sum(a * stats.sw))) / stats.sw_tot, \
-        tau_eps * stats.sw_tot
+def _effect_sums(stats: _SuffStats, a: np.ndarray) -> tuple[float, float, float, float]:
+    """(sum a_k sw_k, sum a_k swy_k, sum a_k^2 w_k, sum a_k^2 sw_k)."""
+    aa = a * a
+    return (float(a @ stats.sw), float(a @ stats.swy),
+            float(aa @ stats.w_k), float(aa @ stats.sw))
 
 
-def _cond_tau_a(stats: _SuffStats, a: np.ndarray, prior: PriorConfig):
-    return 0.5 * stats.w_k_tot + prior.alpha1, \
-        0.5 * float(np.sum(stats.w_k * a ** 2)) + prior.beta1
+def _cond_mu(stats: _SuffStats, a_sw: float, tau_eps: float):
+    return (stats.swy_tot - a_sw) / stats.sw_tot, tau_eps * stats.sw_tot
 
 
-def _cond_tau_eps(stats: _SuffStats, mu: float, a: np.ndarray, prior: PriorConfig):
-    loc = mu + a  # sum_j w_jk (y_jk - loc_k)^2 = swyy - 2 loc swy + loc^2 sw
-    ssr = float(np.sum(stats.swyy - 2.0 * loc * stats.swy + loc ** 2 * stats.sw))
+def _cond_tau_a(stats: _SuffStats, aa_wk: float, prior: PriorConfig):
+    return 0.5 * stats.w_k_tot + prior.alpha1, 0.5 * aa_wk + prior.beta1
+
+
+def _cond_tau_eps(stats: _SuffStats, mu: float, a_sw: float, a_swy: float, aa_sw: float,
+                  prior: PriorConfig):
+    # sum_jk w_jk (y_jk - mu - a_k)^2, expanded over the totals
+    ssr = (stats.swyy_tot - 2.0 * (mu * stats.swy_tot + a_swy)
+           + mu * mu * stats.sw_tot + 2.0 * mu * a_sw + aa_sw)
     return 0.5 * stats.sw_tot + prior.alpha2, 0.5 * ssr + prior.beta2
 
 
@@ -242,7 +262,9 @@ def fc_mu(a: np.ndarray, tau_eps: float, sample, weights):
 
     mean = sum w_jk (y_jk - a_k) / sum w_jk, precision = tau_eps * sum w_jk.
     """
-    return _cond_mu(_suffstats(sample, weights), np.asarray(a, dtype=float), tau_eps)
+    stats = _suffstats(sample, weights)
+    a_sw = _effect_sums(stats, np.asarray(a, dtype=float))[0]
+    return _cond_mu(stats, a_sw, tau_eps)
 
 
 def fc_tau_a(a: np.ndarray, w_k: np.ndarray, prior: PriorConfig):
@@ -253,13 +275,16 @@ def fc_tau_a(a: np.ndarray, w_k: np.ndarray, prior: PriorConfig):
     """
     w_k = np.asarray(w_k, dtype=float)
     zeros = np.zeros_like(w_k)
-    return _cond_tau_a(_SuffStats(w_k, zeros, zeros, zeros, zeros),
-                       np.asarray(a, dtype=float), prior)
+    stats = _SuffStats(w_k, zeros, zeros, zeros, zeros)
+    aa_wk = _effect_sums(stats, np.asarray(a, dtype=float))[2]
+    return _cond_tau_a(stats, aa_wk, prior)
 
 
 def fc_tau_eps(mu: float, a: np.ndarray, sample, weights, prior: PriorConfig):
     """Inverse-gamma full conditional for tau_eps^-1: returns (shape, scale)."""
-    return _cond_tau_eps(_suffstats(sample, weights), mu, np.asarray(a, dtype=float), prior)
+    stats = _suffstats(sample, weights)
+    a_sw, a_swy, _, aa_sw = _effect_sums(stats, np.asarray(a, dtype=float))
+    return _cond_tau_eps(stats, mu, a_sw, a_swy, aa_sw, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +344,21 @@ def augmented_logpseudoposterior(state: ParamState, sample, weights,
 
 def _integrated_loglik_stats(mu: float, tau_a: float, tau_eps: float,
                              stats: _SuffStats) -> float:
+    # Per cluster: 0.5 phi h^2 - 0.5 log phi + 0.5 w_k log tau_a
+    # + 0.5 sw log tau_eps - 0.5 tau_eps sum_j w_jk (y_jk - mu)^2, with h, phi
+    # from _cond_a; only the first two terms are summed over clusters here,
+    # the rest are taken from the per-chain totals.
     # The 2-pi power carries the weighted exponents (sw + w_k - 1)/2 so the
     # value equals the exact integral of the weighted augmented integrand,
     # not just the integral up to a theta-free constant.
     if tau_a <= 0 or tau_eps <= 0:
         raise ValueError("precisions must be positive")
     h, phi = _cond_a(stats, mu, tau_a, tau_eps)
-    sw_res = stats.swyy - 2.0 * mu * stats.swy + mu ** 2 * stats.sw
-    ll = (0.5 * phi * h ** 2 - 0.5 * np.log(phi)
-          + 0.5 * stats.w_k * math.log(tau_a) + 0.5 * stats.sw * math.log(tau_eps)
-          - 0.5 * (stats.sw + stats.w_k - 1.0) * math.log(2 * math.pi)
-          - 0.5 * tau_eps * sw_res)
-    return float(ll.sum())
+    sw_res = stats.swyy_tot - 2.0 * mu * stats.swy_tot + mu * mu * stats.sw_tot
+    return (0.5 * float(h @ (phi * h)) - 0.5 * float(np.log(phi).sum())
+            + 0.5 * stats.w_k_tot * math.log(tau_a) + 0.5 * stats.sw_tot * math.log(tau_eps)
+            - 0.5 * (stats.sw_tot + stats.w_k_tot - stats.m) * math.log(2 * math.pi)
+            - 0.5 * tau_eps * sw_res)
 
 
 def _theta_tuple(theta) -> tuple[float, float, float]:
@@ -347,11 +375,11 @@ def _integrated_logpost_stats(mu: float, tau_a: float, tau_eps: float,
             + _gamma_logpdf(tau_eps, prior.alpha2, prior.beta2))
 
 
-def _integrated_logpost_x(x: np.ndarray, stats: _SuffStats, prior: PriorConfig) -> float:
-    """Integrated log posterior at x = (mu, log tau_a, log tau_eps), as a
+def _integrated_logpost_x(mu: float, lta: float, lte: float, stats: _SuffStats,
+                          prior: PriorConfig) -> float:
+    """Integrated log posterior at (mu, log tau_a, log tau_eps), as a
     density in the precisions (no Jacobian); -inf where |log tau| > 600,
     beyond which exp over- or underflows."""
-    mu, lta, lte = x
     if abs(lta) > 600 or abs(lte) > 600:
         return -math.inf
     return _integrated_logpost_stats(mu, math.exp(lta), math.exp(lte), stats, prior)
@@ -420,28 +448,33 @@ def run_gibbs(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsM
     mu, tau_a, tau_eps = _resolve_init(chain.init, stats)
     warned: set = set()
 
-    kept = []
+    its = np.arange(chain.n_burnin, chain.n_iterations, chain.thin)
+    kept = np.empty((len(its), 3))
+    a_kept = np.empty((len(its), stats.m))
     for it in range(chain.n_iterations):
         h, phi = _cond_a(stats, mu, tau_a, tau_eps)
         a = h + rng.standard_normal(stats.m) / np.sqrt(phi)
+        a_sw, a_swy, aa_wk, aa_sw = _effect_sums(stats, a)
 
-        mean_mu, prec_mu = _cond_mu(stats, a, tau_eps)
+        mean_mu, prec_mu = _cond_mu(stats, a_sw, tau_eps)
         mu = mean_mu + rng.standard_normal() / math.sqrt(prec_mu)
 
-        shape1, scale1 = _cond_tau_a(stats, a, prior)
+        shape1, scale1 = _cond_tau_a(stats, aa_wk, prior)
         tau_a = _clamp_tau(rng.gamma(shape1, 1.0 / scale1), "tau_a", it, warned)
 
-        shape2, scale2 = _cond_tau_eps(stats, mu, a, prior)
+        shape2, scale2 = _cond_tau_eps(stats, mu, a_sw, a_swy, aa_sw, prior)
         tau_eps = _clamp_tau(rng.gamma(shape2, 1.0 / scale2), "tau_eps", it, warned)
 
-        if not (math.isfinite(mu) and np.isfinite(a).all()):
+        # every sw_k > 0, so a non-finite a_k makes a_sw non-finite
+        if not (math.isfinite(mu) and math.isfinite(a_sw)):
             raise ChainDivergenceError(it)
         if it >= chain.n_burnin and (it - chain.n_burnin) % chain.thin == 0:
-            kept.append((it, mu, tau_a, tau_eps, a.copy()))
+            i = (it - chain.n_burnin) // chain.thin
+            kept[i] = mu, tau_a, tau_eps
+            a_kept[i] = a
 
-    its, mus, tas, tes, a_draws = zip(*kept)
-    return DrawsMatrix(mu=np.array(mus), tau_a=np.array(tas), tau_eps=np.array(tes),
-                       a=np.array(a_draws), iterations=np.array(its))
+    mus, tas, tes = kept.T.copy()
+    return DrawsMatrix(mu=mus, tau_a=tas, tau_eps=tes, a=a_kept, iterations=its)
 
 
 def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:
@@ -456,53 +489,57 @@ def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig)
     stats = _suffstats(sample, weights)
     rng = substream(chain.seed)
     mu0, ta0, te0 = _resolve_init(chain.init, stats)
-    x = np.array([mu0, math.log(ta0), math.log(te0)])
-
-    def logpost(v: np.ndarray) -> float:
-        return _integrated_logpost_x(v, stats, prior) + v[1] + v[2]
-
-    lp = logpost(x)
+    # state, proposal scales and running moments, one float per coordinate
+    x0, x1, x2 = mu0, math.log(ta0), math.log(te0)
+    lp = _integrated_logpost_x(x0, x1, x2, stats, prior) + x1 + x2
     if not math.isfinite(lp):
         raise ChainDivergenceError(0, "non-finite log posterior at initialization")
 
-    base_sd = np.array([1.0 / math.sqrt(te0 * stats.sw_tot),
-                        math.sqrt(2.0 / stats.m), math.sqrt(2.0 / stats.n_k.sum())])
-    base_sd = np.maximum(base_sd, 1e-3)
+    sd0 = max(1.0 / math.sqrt(te0 * stats.sw_tot), 1e-3)
+    sd1 = max(math.sqrt(2.0 / stats.m), 1e-3)
+    sd2 = max(math.sqrt(2.0 / stats.n_k.sum()), 1e-3)
     log_scale = math.log(2.38 / math.sqrt(3.0))
-    run_mean = x.copy()
-    run_m2 = np.zeros(3)
+    mean0, mean1, mean2 = x0, x1, x2
+    m2_0 = m2_1 = m2_2 = 0.0
     accepted = proposals = 0
 
-    kept = []
+    its = np.arange(chain.n_burnin, chain.n_iterations, chain.thin)
+    kept = np.empty((len(its), 3))
     for it in range(chain.n_iterations):
         adapting = it < chain.n_burnin
-        step = math.exp(log_scale) * base_sd
-        prop = x + step * rng.standard_normal(3)
-        lp_prop = logpost(prop)
+        scale = math.exp(log_scale)
+        z0, z1, z2 = rng.standard_normal(3).tolist()
+        p0, p1, p2 = x0 + scale * sd0 * z0, x1 + scale * sd1 * z1, x2 + scale * sd2 * z2
+        lp_prop = _integrated_logpost_x(p0, p1, p2, stats, prior) + p1 + p2
         if math.isnan(lp_prop):
             raise ChainDivergenceError(it, f"NaN log posterior at iteration {it}")
         alpha = min(1.0, math.exp(min(0.0, lp_prop - lp)))
         accept = rng.uniform() < alpha
         if accept:
-            x, lp = prop, lp_prop
+            x0, x1, x2, lp = p0, p1, p2, lp_prop
         if adapting:
             log_scale += (it + 1) ** -0.6 * (alpha - 0.234)
             log_scale = min(max(log_scale, -10.0), 5.0)
-            delta = x - run_mean
-            run_mean += delta / (it + 1)
-            run_m2 += delta * (x - run_mean)
+            d0, d1, d2 = x0 - mean0, x1 - mean1, x2 - mean2
+            mean0 += d0 / (it + 1)
+            mean1 += d1 / (it + 1)
+            mean2 += d2 / (it + 1)
+            m2_0 += d0 * (x0 - mean0)
+            m2_1 += d1 * (x1 - mean1)
+            m2_2 += d2 * (x2 - mean2)
             if it >= 200:
-                base_sd = np.maximum(np.sqrt(run_m2 / it), 1e-6)
+                sd0 = max(math.sqrt(m2_0 / it), 1e-6)
+                sd1 = max(math.sqrt(m2_1 / it), 1e-6)
+                sd2 = max(math.sqrt(m2_2 / it), 1e-6)
         else:
             proposals += 1
             accepted += int(accept)
         if it >= chain.n_burnin and (it - chain.n_burnin) % chain.thin == 0:
-            kept.append((it, x[0], math.exp(x[1]), math.exp(x[2])))
+            kept[(it - chain.n_burnin) // chain.thin] = x0, math.exp(x1), math.exp(x2)
 
-    its, mus, tas, tes = zip(*kept)
-    return DrawsMatrix(mu=np.array(mus), tau_a=np.array(tas), tau_eps=np.array(tes),
-                       a=None, acceptance_rate=accepted / max(proposals, 1),
-                       iterations=np.array(its))
+    mus, tas, tes = kept.T.copy()
+    return DrawsMatrix(mu=mus, tau_a=tas, tau_eps=tes, a=None,
+                       acceptance_rate=accepted / max(proposals, 1), iterations=its)
 
 
 def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "auto",
@@ -520,7 +557,7 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
     rng = substream(seed, 7)
 
     def neg_obj(v: np.ndarray) -> float:
-        return -_integrated_logpost_x(v, stats, prior)
+        return -_integrated_logpost_x(*v, stats, prior)
 
     best = None
     converged = False

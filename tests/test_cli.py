@@ -64,6 +64,12 @@ class TestSimulate:
     def test_unreadable_scenario_errors(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_error_line_names_exception(self, tmp_path, capsys):
+        bad = tmp_path / "no_m.cfg"
+        bad.write_text(TINY_CFG.replace("{M: 30, m: 8}", "{m: 8}"))
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: KeyError: 'M'\n"
+
 
 class TestDiagnose:
     def test_writes_reports(self, tiny_scenario, tmp_path):

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from svyanova.harness import (ESTIMATORS, ReplicationReport, Scenario,
                               ScenarioFailure, aggregate_quantiles,
                               emit_plot_data, load_scenarios, report_to_json,
                               run_grid, run_scenario)
-from svyanova.inference import ChainConfig, PriorConfig
+from svyanova.inference import ChainConfig, ParamState, PriorConfig
 from svyanova.popgen import PopulationConfig
 
 
@@ -173,6 +175,31 @@ class TestEmitPlotData:
         assert js["n_failures"] == 0
         assert "equal_gibbs/b0" in js["quantiles"]
 
+    def test_report_json_echoes_scenario_and_chain_health(self):
+        scen = _scenario(M=12, N_h=[3 + h % 4 for h in range(12)], m=6, n_k=2, R=2,
+                         estimators=("double_gibbs", "double_integrated", "double_map"))
+        rep = run_scenario(scen)
+        js = json.loads(json.dumps(report_to_json(rep)))
+        assert js["scenario"]["N_h"] == [3 + h % 4 for h in range(12)]
+        assert js["scenario"]["chain"] == {"n_iterations": 300, "n_burnin": 100,
+                                           "thin": 1, "init": "auto"}
+        assert js["scenario"]["priors"] == {"alpha1": 0.1, "beta1": 0.1,
+                                            "alpha2": 0.1, "beta2": 0.1}
+        assert len(js["diagnostics"]) == 2
+        for r, diag in enumerate(js["diagnostics"]):
+            assert diag["double_gibbs"]["converged"] is True
+            assert diag["double_integrated"]["acceptance_rate"] == \
+                rep.diagnostics[r]["double_integrated"]["acceptance_rate"]
+            assert 0.0 < diag["double_integrated"]["acceptance_rate"] < 1.0
+            assert diag["double_map"]["converged"] in (True, False)
+            assert math.isfinite(diag["double_map"]["loglik"])
+
+    def test_report_json_echoes_explicit_init(self):
+        scen = _scenario(R=1, estimators=("equal_gibbs",))
+        scen = replace(scen, chain=replace(scen.chain, init=ParamState(0.5, 0.3, 0.2)))
+        js = json.loads(json.dumps(report_to_json(run_scenario(scen))))
+        assert js["scenario"]["chain"]["init"] == {"mu": 0.5, "tau_a": 0.3, "tau_eps": 0.2}
+
 
 class TestScenarioFiles:
     def test_explicit_grid_points(self, tmp_path):
@@ -226,6 +253,23 @@ class TestScenarioFiles:
         cfg.write_text("name: x\npopulation: {N_h: 8}\n"
                        f"grid: [{{M: 40, m: 10}}]\nR: 1\npriors: {{beta2: {value}}}\n")
         with pytest.raises(ConfigError, match="beta2"):
+            load_scenarios(cfg)
+
+    @pytest.mark.parametrize("body, key, where", [
+        ("grid: [{M: 40, m: 10, N_h: 8}]\nsigma_a: 5", "sigma_a", "the top level"),
+        ("grid: [{M: 40, m: 10}]\npopulation: {N_h: 8, sigma_a: 5}", "sigma_a",
+         "population"),
+        ("grid: [{M: 40, m: 10, N_h: 8}]\ndesign: {n_k: 3, unit_design: srs}",
+         "unit_design", "design"),
+        ("grid: [{M: 40, m: 10, N_h: 8}, {M: 40, m: 10, sigma_a: 5}]", "sigma_a",
+         "grid point 1"),
+        ("grid: {M: [40], m: [10], N_h: [8], sigma_a: [5]}", "sigma_a", "grid axes"),
+        ("grid: [{M: 40, m: 10, N_h: 8}]\ndesk: {R: 2, r: 2}", "r", "desk"),
+    ], ids=["top", "population", "design", "grid-point", "grid-axes", "desk"])
+    def test_unknown_key_rejected(self, tmp_path, body, key, where):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"name: x\nR: 1\n{body}\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in {where}"):
             load_scenarios(cfg)
 
     def test_bundled_paper_grids(self):

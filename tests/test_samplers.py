@@ -6,8 +6,8 @@ import pytest
 from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                              build_weights, draw_two_stage_sample)
 from svyanova.errors import ChainDivergenceError, ConfigError
-from svyanova.inference import (ChainConfig, ParamState, PriorConfig, run_gibbs,
-                                run_integrated_mcmc)
+from svyanova.inference import (ChainConfig, ParamState, PriorConfig, map_estimate,
+                                run_gibbs, run_integrated_mcmc)
 from svyanova.popgen import PopulationConfig, generate_population
 
 from helpers import census_sample, make_instance
@@ -43,13 +43,18 @@ class TestGibbs:
         assert np.array_equal(draws.tau_a, again.tau_a)
         assert np.array_equal(draws.a, again.a)
 
-    def test_draw_count_and_thinning(self, census_fit):
+    @pytest.mark.parametrize("thin", [1, 3])
+    @pytest.mark.parametrize("runner", [run_gibbs, run_integrated_mcmc])
+    def test_draw_count_and_thinning(self, census_fit, runner, thin):
         _, sample, weights, _ = census_fit
-        chain = ChainConfig(n_iterations=1000, n_burnin=400, thin=3, seed=1)
-        draws = run_gibbs(sample, weights, PRIOR, chain)
-        assert draws.n_draws == 200
-        assert draws.iterations[0] == 400
-        assert np.all(np.diff(draws.iterations) == 3)
+        chain = ChainConfig(n_iterations=1000, n_burnin=400, thin=thin, seed=1)
+        draws = runner(sample, weights, PRIOR, chain)
+        np.testing.assert_array_equal(draws.iterations, np.arange(400, 1000, thin))
+        assert draws.n_draws == len(draws.iterations) == 600 // thin
+        if runner is run_gibbs:
+            assert draws.a.shape == (draws.n_draws, sample.m)
+        else:
+            assert draws.a is None
 
     def test_stores_cluster_effects(self, census_fit):
         _, sample, _, draws = census_fit
@@ -153,6 +158,39 @@ class TestIntegratedMcmc:
                             init=ParamState(0.5, 0.3, 0.2))
         draws = run_integrated_mcmc(sample, weights, PRIOR, chain)
         assert draws.n_draws == 300
+
+
+class TestStreamPin:
+    """Draws of one small instance, pinned so that a change to the random
+    streams is made on purpose: a kernel rewrite that keeps the streams
+    moves the draws by rounding only, and MAP within its simplex tolerance."""
+
+    CHAIN = ChainConfig(n_iterations=60, n_burnin=10, seed=11)
+
+    @pytest.mark.parametrize("runner, first, last", [
+        (run_gibbs,
+         (-0.7545641447555564, 7.627248641904019, 0.13007723927475343),
+         (-0.819684031498923, 1.496354906789295, 0.1928202975042924)),
+        (run_integrated_mcmc,
+         (-0.3168817021534056, 0.8280899148514017, 0.2045499801041638),
+         (-0.1800689539907377, 14.934950241642413, 0.16876826919430454)),
+    ], ids=["gibbs", "integrated"])
+    def test_chain_draws(self, runner, first, last):
+        sample, weights, _, prior = make_instance(3)
+        draws = runner(sample, weights, prior, self.CHAIN)
+        assert draws.n_draws == 50
+        for i, want in ((0, first), (-1, last)):
+            got = (draws.mu[i], draws.tau_a[i], draws.tau_eps[i])
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        if runner is run_integrated_mcmc:
+            assert draws.acceptance_rate == 0.3
+
+    def test_map_theta(self):
+        sample, weights, _, prior = make_instance(3)
+        theta, _, converged = map_estimate(sample, weights, prior, seed=11)
+        assert converged
+        assert (theta.mu, theta.tau_a, theta.tau_eps) == pytest.approx(
+            (-0.3363704203154593, 8.483960072356554, 0.13044054884640058), rel=1e-6)
 
 
 class TestDrawsMatrixIO:

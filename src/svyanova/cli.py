@@ -4,7 +4,9 @@
 plot-ready CSVs plus per-scenario JSON reports; ``diagnose`` computes the
 design diagnostics for each scenario; ``estimate`` fits one estimator to a
 user-supplied sample CSV (the sample export schema) and prints a summary
-JSON.  Exit code is 0 on success, nonzero on scenario-level failure.
+JSON.  Exit code is 0 on success, 1 when a scenario fails, 2 on any other
+error, reported as ``error: <Type>: <message>`` (the full traceback with
+``--traceback``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import __version__
 from .design import (WeightMode, build_weights, draw_two_stage_sample,
@@ -31,6 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Survey-weighted pseudo-Bayesian "
                                                  "ANOVA simulator and estimator")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--traceback", action="store_true",
+                        help="on error, print the full traceback instead of one line")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a replication study from a scenario file")
@@ -137,7 +142,10 @@ def main(argv=None) -> int:
             return _cmd_diagnose(args)
         return _cmd_estimate(args)
     except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.traceback:
+            traceback.print_exc()
+        else:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

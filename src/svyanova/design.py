@@ -4,9 +4,12 @@ Stage 1 selects clusters, stage 2 selects units within each selected
 cluster, both by randomized-order systematic PPS.  Size measures are
 functions of the population latents (cluster effects for stage 1, unit
 noise for stage 2), which is what makes the designs informative.
-Weights invert the realized inclusion probabilities and are optionally
-normalized so the pseudo-likelihood's effective sample size equals the
-realized sample size.
+Population constants in the size formulas (the noise minimum of the
+linear unit designs) are computed once per population, so drawing from
+each selected cluster costs O(N_h).  Weights invert the realized
+inclusion probabilities and are optionally normalized so the
+pseudo-likelihood's effective sample size equals the realized sample
+size.
 """
 
 from __future__ import annotations
@@ -117,7 +120,9 @@ def size_measures(population: Population, kind, cluster: int | None = None) -> n
     require ``cluster`` and operate on that cluster's ``eps0``.  The
     ``min`` in the linear formulas is taken over the full population
     (all clusters' effects, respectively all units' noise values), so the
-    offset is a population constant.
+    offset is a population constant; the unit one is ``population.eps_min``,
+    computed once when the population is built, so a per-cluster call costs
+    O(N_h), not O(N).
     """
     if isinstance(kind, ClusterDesign):
         a = population.a0
@@ -136,16 +141,12 @@ def size_measures(population: Population, kind, cluster: int | None = None) -> n
     if kind is UnitDesign.WEAK_QUADRATIC:
         return 0.3 * np.maximum(0.0, eps) ** 2 + 1.0
     if kind is UnitDesign.LINEAR:
-        return eps - _eps_min(population) + 1.0
+        return eps - population.eps_min + 1.0
     if kind is UnitDesign.WEAK_LINEAR:
-        return 0.3 * (eps - _eps_min(population)) + 1.0
+        return 0.3 * (eps - population.eps_min) + 1.0
     if kind is UnitDesign.SYMMETRIC_QUADRATIC:
         return eps ** 2 + 1.0
     return np.ones_like(eps)
-
-
-def _eps_min(population: Population) -> float:
-    return min(float(e.min()) for e in population.eps0)
 
 
 def inclusion_probs(sizes: np.ndarray, n: int) -> np.ndarray:
@@ -174,6 +175,21 @@ def inclusion_probs(sizes: np.ndarray, n: int) -> np.ndarray:
     return pi
 
 
+def pps_sample_size(pi: np.ndarray) -> int:
+    """Validate inclusion probabilities for systematic PPS; return n = sum(pi).
+
+    Raises DesignError unless every ``pi`` lies in [0, 1] and the sum is an
+    integer (within 1e-9).
+    """
+    total = float(pi.sum())
+    n = int(round(total))
+    if abs(total - n) > _SUM_TOL:
+        raise DesignError(f"inclusion probabilities sum to {total}, not an integer")
+    if np.any(pi < 0) or np.any(pi > 1.0 + 1e-12):
+        raise DesignError("inclusion probabilities must lie in [0, 1]")
+    return n
+
+
 def systematic_pps(pi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Randomized-order systematic PPS selection.
 
@@ -182,20 +198,24 @@ def systematic_pps(pi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ``u + t`` for ``t = 0..n-1`` (``u ~ Uniform(0,1)``) is selected.  A
     point landing exactly on an interval boundary goes to the interval on
     the right.  Returns exactly ``n = sum(pi)`` distinct indices, sorted.
+    ``pi`` is validated by ``pps_sample_size`` first; a caller drawing
+    repeatedly from one ``pi`` validates once and calls ``select_pps``.
     """
     pi = np.asarray(pi, dtype=float)
-    total = float(pi.sum())
-    n = int(round(total))
-    if abs(total - n) > _SUM_TOL:
-        raise DesignError(f"inclusion probabilities sum to {total}, not an integer")
-    if np.any(pi < 0) or np.any(pi > 1.0 + 1e-12):
-        raise DesignError("inclusion probabilities must lie in [0, 1]")
+    return select_pps(pi, pps_sample_size(pi), rng)
+
+
+def select_pps(pi: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The selection step of ``systematic_pps`` on an already validated
+    float array ``pi`` with ``n = pps_sample_size(pi)``; draws the same
+    random numbers in the same order."""
     perm = rng.permutation(pi.size)
-    cum = np.cumsum(pi[perm])
+    cum = pi[perm].cumsum()
     points = rng.uniform() + np.arange(n)
-    pos = np.searchsorted(cum, points, side="right")
-    pos = np.minimum(pos, pi.size - 1)
-    return np.sort(perm[pos])
+    pos = np.minimum(cum.searchsorted(points, side="right"), pi.size - 1)
+    sel = perm[pos]
+    sel.sort()
+    return sel
 
 
 def draw_two_stage_sample(population: Population, design: TwoStageDesign) -> SampleDraw:

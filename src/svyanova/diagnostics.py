@@ -2,7 +2,9 @@
 
 The balance diagnostic Monte-Carlo estimates the expected within-cluster
 weighted residual mean (the quantity that must vanish for the random
-effects scale to be estimable); the bounds report gives empirical
+effects scale to be estimable), validating each cluster's inclusion
+probabilities once and drawing replicate t of cluster h from the
+substream keyed by (seed, 4, t, h); the bounds report gives empirical
 analogues of the weight/sampling-fraction bounds; the informativeness
 summary pairs population and sample quantiles of the latents.
 """
@@ -16,7 +18,9 @@ import numpy as np
 
 from .csvio import write_csv
 from .design import (SampleDraw, TwoStageDesign, WeightSet, inclusion_probs,
-                     size_measures, systematic_pps)
+                     pps_sample_size, select_pps, size_measures)
+# Unused here; svybench/workloads.py traces this module attribute.
+from .design import systematic_pps  # noqa: F401
 from .popgen import Population
 from .rng import substream
 
@@ -88,26 +92,34 @@ def weighted_residual_balance(population: Population, design: TwoStageDesign,
 
     Within-cluster samples are drawn afresh for *every* population cluster
     (stage order reversed: the cluster stage is irrelevant to the
-    statistic), each replicate on its own RNG substream.  The per-cluster
-    statistic is sum_j w_{j|h} eps_j / sum_j w_{j|h} with w = 1/pi.
+    statistic).  The per-cluster statistic is
+    sum_j w_{j|h} eps_j / sum_j w_{j|h} with w = 1/pi.
+
+    Each cluster's ``pi`` is built and validated once, then its T draws
+    run; draw (t, h) uses the substream keyed by (seed, 4, t, h), so the
+    draws do not depend on the loop order.  ``per_cluster[h]`` accumulates
+    over t and ``replicate_means[t]`` over h, each in increasing index
+    order: the reports are pinned bit for bit, so keep that order.
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
     M = population.M
-    pi = [inclusion_probs(size_measures(population, design.unit_kind, cluster=h), design.n_k)
-          for h in range(M)]
-    eps = population.eps0
     per_cluster = np.zeros(M)
-    rep_means = np.zeros(n_replicates)
-    for t in range(n_replicates):
-        acc = 0.0
-        for h in range(M):
-            sel = systematic_pps(pi[h], substream(design.seed, 4, t, h))
-            w = 1.0 / pi[h][sel]
-            stat = float(np.sum(w * eps[h][sel]) / w.sum())
-            per_cluster[h] += stat
-            acc += stat
-        rep_means[t] = acc / M
+    rep_sums = [0.0] * n_replicates
+    for h in range(M):
+        pi = inclusion_probs(size_measures(population, design.unit_kind, cluster=h),
+                             design.n_k)
+        n = pps_sample_size(pi)
+        eps = population.eps0[h]
+        total = 0.0
+        for t in range(n_replicates):
+            sel = select_pps(pi, n, substream(design.seed, 4, t, h))
+            w = 1.0 / pi[sel]
+            stat = float((w * eps[sel]).sum() / w.sum())
+            total += stat
+            rep_sums[t] += stat
+        per_cluster[h] = total
+    rep_means = np.array(rep_sums) / M
     per_cluster /= n_replicates
     f_h = design.n_k / np.asarray(population.config.N_h, dtype=float)
     return BalanceReport(

@@ -50,6 +50,9 @@ _FILE_KEYS = ("name", "population", "design", "grid", "estimators", "R", "base_s
 _SECTION_KEYS = ("M", "N_h", "mu0", "sigma_a0", "sigma_eps0", "cluster", "unit", "m", "n_k")
 _GRID_KEYS = _SECTION_KEYS + ("R",)
 _DESK_KEYS = ("M", "m", "R")
+# No chain seed: every chain seed is derived per replicate from base_seed.
+_CHAIN_KEYS = ("n_iterations", "n_burnin", "thin", "init")
+_PRIOR_KEYS = ("alpha1", "beta1", "alpha2", "beta2")
 
 
 @dataclass(frozen=True)
@@ -325,7 +328,9 @@ def load_scenarios(path, desk: bool = False, base_seed: int | None = None) -> li
     optional ``grid`` (list of explicit points, or a mapping of axes whose
     cross product is taken).  With ``desk=True`` the integer divisors under
     the ``desk`` key are applied to M, m, and R.  An unknown key raises
-    ConfigError naming the key and where it was found.
+    ConfigError naming the key and where it was found; so do ``chain.seed``
+    (chain seeds come from ``base_seed``) and a ``chain.init`` other than
+    ``auto``.
     """
     with open(path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
@@ -337,8 +342,18 @@ def load_scenarios(path, desk: bool = False, base_seed: int | None = None) -> li
     base_design = dict(cfg.get("design", {}))
     _check_keys(pop, _SECTION_KEYS, "population")
     _check_keys(base_design, _SECTION_KEYS, "design")
-    chain = ChainConfig(**cfg.get("chain", {}))
-    priors = PriorConfig(**cfg.get("priors", {}))
+    chain_cfg = dict(cfg.get("chain", {}))
+    if "seed" in chain_cfg:
+        raise ConfigError("chain.seed is not read: every chain seed is derived per "
+                          "replicate from base_seed; set base_seed or pass --seed")
+    _check_keys(chain_cfg, _CHAIN_KEYS, "chain")
+    if chain_cfg.get("init", "auto") != "auto":
+        raise ConfigError(f"chain.init must be 'auto' in a scenario file, "
+                          f"got {chain_cfg['init']!r}")
+    chain = ChainConfig(**chain_cfg)
+    priors_cfg = dict(cfg.get("priors", {}))
+    _check_keys(priors_cfg, _PRIOR_KEYS, "priors")
+    priors = PriorConfig(**priors_cfg)
     estimators = tuple(cfg.get("estimators", list(ESTIMATORS)))
     seed = int(base_seed if base_seed is not None else cfg.get("base_seed", 0))
     R = int(cfg.get("R", 1))

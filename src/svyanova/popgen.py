@@ -8,7 +8,7 @@ on them (cluster sizes on ``a0``, unit sizes on ``eps0``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,12 +65,21 @@ class PopulationConfig:
 
 @dataclass(frozen=True)
 class Population:
-    """A realized finite population, immutable after construction."""
+    """A realized finite population, immutable after construction.
+
+    ``eps_min`` is derived from ``eps0`` once, at construction: the linear
+    unit designs offset every cluster's size measures by this population
+    constant, so a sample draw reads it instead of rescanning all clusters.
+    """
 
     config: PopulationConfig
     a0: np.ndarray                # (M,) cluster effects
     eps0: list[np.ndarray]        # eps0[h] has N_h entries
     y: list[np.ndarray]           # y[h][l] = mu0 + a0[h] + eps0[h][l]
+    eps_min: float = field(init=False)  # min over all units' eps0
+
+    def __post_init__(self):
+        object.__setattr__(self, "eps_min", float(self.eps_flat().min()))
 
     @property
     def M(self) -> int:

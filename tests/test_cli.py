@@ -71,6 +71,18 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: KeyError: 'M'\n"
 
 
+    def test_traceback_flag_prints_full_traceback(self, tmp_path, capsys):
+        bad = tmp_path / "no_m.cfg"
+        bad.write_text(TINY_CFG.replace("{M: 30, m: 8}", "{m: 8}"))
+        assert main(["--traceback", "simulate", "--scenario", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert "load_scenarios" in err
+        assert err.endswith("KeyError: 'M'\n")
+        assert "error: KeyError" not in err
+
+
 class TestDiagnose:
     def test_writes_reports(self, tiny_scenario, tmp_path):
         out = tmp_path / "diag"

@@ -227,6 +227,37 @@ class TestTwoStageSample:
         assert p > 1e-3
 
 
+class TestDesignStreamPin:
+    """Sample draws and balance report of one small population with unequal
+    cluster sizes under the linear unit designs, pinned exactly: a design
+    layer rewrite that keeps the random streams reproduces them bit for bit."""
+
+    POP = PopulationConfig(M=12, N_h=(6, 9, 7, 12, 8, 10, 6, 11, 9, 7, 8, 10), mu0=1.0,
+                           sigma_a0=2.0, sigma_eps0=3.0, seed=41)
+
+    @pytest.mark.parametrize("unit, first_units, last_units, overall, rep_means", [
+        (UnitDesign.LINEAR, [3, 4, 5, 8], [0, 2, 5, 8], 0.5216702061923789,
+         [-0.022520835272329173, 0.12372983329712184, 1.0612953927147373,
+          0.9241764340299854]),
+        (UnitDesign.WEAK_LINEAR, [2, 3, 4, 5], [2, 5, 7, 8], 0.059211557568816055,
+         [-0.005889740585031944, -0.11987896427599887, 0.4240148331870221,
+          -0.06139989805072707]),
+    ], ids=["linear", "weak_linear"])
+    def test_draws_and_balance(self, unit, first_units, last_units, overall, rep_means):
+        from svyanova.diagnostics import weighted_residual_balance
+        from svyanova.popgen import generate_population
+
+        pop = generate_population(self.POP)
+        design = TwoStageDesign(ClusterDesign.LINEAR_ASYMMETRIC, unit, m=5, n_k=4, seed=43)
+        sample = draw_two_stage_sample(pop, design)
+        assert sample.cluster_ids.tolist() == [1, 6, 7, 8, 11]
+        assert sample.unit_ids[0].tolist() == first_units
+        assert sample.unit_ids[-1].tolist() == last_units
+        balance = weighted_residual_balance(pop, design, n_replicates=4)
+        assert balance.overall_mean == overall
+        assert balance.replicate_means.tolist() == rep_means
+
+
 class TestWeights:
     def test_census_double_unnormalized(self, small_population):
         sample = census_sample(small_population)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from svyanova import diagnostics
 from svyanova.design import (ClusterDesign, SampleDraw, TwoStageDesign, UnitDesign,
                              WeightMode, WeightSet, build_weights,
-                             draw_two_stage_sample)
+                             draw_two_stage_sample, inclusion_probs, size_measures)
 from svyanova.diagnostics import (bounds_report, informativeness_summary,
                                   informativeness_to_csv, weighted_re_average,
                                   weighted_residual_balance)
+from svyanova.errors import DesignError
 from svyanova.inference import ChainConfig, DrawsMatrix, PriorConfig, run_gibbs
 from svyanova.popgen import PopulationConfig, generate_population
 
@@ -53,6 +55,33 @@ class TestBalance:
                                           n_replicates=40)
         wins = int(np.sum(np.abs(rep5.replicate_means) > np.abs(rep20.replicate_means)))
         assert binomtest(wins, 40, 0.5, alternative="greater").pvalue < 0.01
+
+    @pytest.mark.parametrize("unit", [UnitDesign.SRS, UnitDesign.LINEAR,
+                                      UnitDesign.QUADRATIC])
+    @pytest.mark.parametrize("T", [1, 2, 7])
+    def test_census_per_cluster_is_cluster_mean(self, small_population, unit, T):
+        # n_k == N_h: every unit's pi is 1 (by capping under the informative
+        # designs), so every draw is the whole cluster and the statistic is
+        # the cluster's mean noise, whatever T
+        pop = small_population
+        n = pop.config.N_h[0]
+        for h in range(pop.M):
+            assert np.all(inclusion_probs(size_measures(pop, unit, cluster=h), n) == 1.0)
+        rep = weighted_residual_balance(pop, _design(unit, n), n_replicates=T)
+        want = np.array([e.mean() for e in pop.eps0])
+        np.testing.assert_allclose(rep.per_cluster, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rep.replicate_means, np.full(T, want.mean()),
+                                   rtol=1e-12, atol=1e-12)
+        assert np.all(rep.sampling_fraction == 1.0)
+
+    def test_non_integer_probability_sum_rejected(self, small_population, monkeypatch):
+        # the sum check runs once per cluster, before that cluster's draws
+        def off_by_half(sizes, n):
+            return np.full(len(sizes), (n + 0.5) / len(sizes))
+
+        monkeypatch.setattr(diagnostics, "inclusion_probs", off_by_half)
+        with pytest.raises(DesignError, match="not an integer"):
+            weighted_residual_balance(small_population, _design(UnitDesign.SRS, 5), 3)
 
     def test_replicate_count_validated(self, medium_population):
         with pytest.raises(ValueError):

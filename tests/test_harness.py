@@ -265,12 +265,39 @@ class TestScenarioFiles:
          "grid point 1"),
         ("grid: {M: [40], m: [10], N_h: [8], sigma_a: [5]}", "sigma_a", "grid axes"),
         ("grid: [{M: 40, m: 10, N_h: 8}]\ndesk: {R: 2, r: 2}", "r", "desk"),
-    ], ids=["top", "population", "design", "grid-point", "grid-axes", "desk"])
+        ("grid: [{M: 40, m: 10, N_h: 8}]\nchain: {n_iterations: 300, burnin: 100}",
+         "burnin", "chain"),
+        ("grid: [{M: 40, m: 10, N_h: 8}]\npriors: {alpha1: 0.1, alpha_1: 0.1}",
+         "alpha_1", "priors"),
+    ], ids=["top", "population", "design", "grid-point", "grid-axes", "desk", "chain",
+            "priors"])
     def test_unknown_key_rejected(self, tmp_path, body, key, where):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(f"name: x\nR: 1\n{body}\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in {where}"):
             load_scenarios(cfg)
+
+    def test_chain_seed_rejected(self, tmp_path):
+        # chain seeds derive from base_seed; a chain.seed would be ignored
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("name: x\nR: 1\ngrid: [{M: 40, m: 10, N_h: 8}]\n"
+                       "chain: {n_iterations: 300, n_burnin: 100, seed: 5}\n")
+        with pytest.raises(ConfigError, match=r"chain\.seed.*base_seed.*--seed"):
+            load_scenarios(cfg)
+
+    @pytest.mark.parametrize("init", ["map", "{mu: 0.0}"])
+    def test_chain_init_other_than_auto_rejected(self, tmp_path, init):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("name: x\nR: 1\ngrid: [{M: 40, m: 10, N_h: 8}]\n"
+                       f"chain: {{n_iterations: 300, n_burnin: 100, init: {init}}}\n")
+        with pytest.raises(ConfigError, match=r"chain\.init"):
+            load_scenarios(cfg)
+
+    def test_chain_init_auto_accepted(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("name: x\nR: 1\ngrid: [{M: 40, m: 10, N_h: 8}]\n"
+                       "chain: {n_iterations: 300, n_burnin: 100, init: auto}\n")
+        assert load_scenarios(cfg)[0].chain.init == "auto"
 
     def test_bundled_paper_grids(self):
         from importlib import resources

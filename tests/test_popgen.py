@@ -52,6 +52,15 @@ class TestGeneration:
             resid = pop.y[h] - pop.config.mu0 - pop.a0[h] - pop.eps0[h]
             assert np.all(np.abs(resid) < 1e-12)
 
+    def test_eps_min_is_the_population_noise_minimum(self):
+        pop = generate_population(_cfg(M=6, N_h=(3, 8, 1, 5, 2, 4), seed=9))
+        assert pop.eps_min == pop.eps_flat().min()
+        # derived from eps0 when the population is built directly, too
+        direct = Population(config=_cfg(M=2, N_h=(2, 1)), a0=np.zeros(2),
+                            eps0=[np.array([0.5, -1.5]), np.array([-0.25])],
+                            y=[np.zeros(2), np.zeros(1)])
+        assert direct.eps_min == -1.5
+
     def test_unequal_cluster_sizes(self):
         cfg = _cfg(M=4, N_h=(3, 8, 1, 5), seed=9)
         pop = generate_population(cfg)

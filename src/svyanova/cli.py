@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--weights-mode", required=True,
                      choices=[m.value for m in WeightMode])
     est.add_argument("--method", required=True, choices=["gibbs", "integrated", "map"])
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--seed", type=int, default=0,
+                     help="chain seed of gibbs and integrated; map does not draw")
     est.add_argument("--iterations", type=int, default=4000)
     est.add_argument("--burnin", type=int, default=2000)
     est.add_argument("--out", default=None, help="write the summary JSON here too")
@@ -117,7 +118,7 @@ def _cmd_estimate(args) -> int:
     weights = build_weights(sample, WeightMode(args.weights_mode), normalize=True)
     priors = PriorConfig()
     if args.method == "map":
-        theta, loglik, converged = map_estimate(sample, weights, priors, seed=args.seed)
+        theta, loglik, converged = map_estimate(sample, weights, priors)
         summary = map_summary(theta, loglik, converged, mode=args.weights_mode)
     else:
         chain = ChainConfig(n_iterations=args.iterations, n_burnin=args.burnin,

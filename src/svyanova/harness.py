@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 import yaml
 
+from . import __version__
 from .csvio import write_csv
 from .design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                      build_weights, draw_two_stage_sample)
@@ -134,8 +135,7 @@ def _run_replicate(scenario: Scenario, r: int) -> tuple[int, dict, dict, dict]:
         try:
             if est == "double_map":
                 theta, loglik, converged = map_estimate(
-                    sample, weights, scenario.priors, init=scenario.chain.init,
-                    seed=chain.seed)
+                    sample, weights, scenario.priors, init=scenario.chain.init)
                 point = {"b0": theta.mu, "sigma_a": theta.sigma_a,
                          "sigma_eps": theta.sigma_eps}
                 diags[est] = {"converged": converged, "loglik": loglik,
@@ -254,8 +254,9 @@ def emit_plot_data(reports, out_dir) -> tuple[str, str]:
 
 
 def report_to_json(report: ReplicationReport) -> dict:
-    """The resolved scenario, quantiles, per-replicate estimator diagnostics
-    (acceptance rate, MAP convergence and log-likelihood) and failures."""
+    """The resolved scenario (with the svyanova and numpy versions that ran
+    it), quantiles, per-replicate estimator diagnostics (acceptance rate,
+    MAP convergence and log-likelihood) and failures."""
     scen = report.scenario
     chain, init = scen.chain, scen.chain.init
     return {
@@ -280,6 +281,8 @@ def report_to_json(report: ReplicationReport) -> dict:
                       "init": ({"mu": init.mu, "tau_a": init.tau_a, "tau_eps": init.tau_eps}
                                if isinstance(init, ParamState) else init)},
             "priors": asdict(scen.priors),
+            "svyanova_version": __version__,
+            "numpy_version": np.__version__,
         },
         "quantiles": {f"{e}/{p}": list(report.quantiles[(e, p)])
                       for e in scen.estimators for p in PARAM_NAMES},
@@ -294,23 +297,24 @@ def report_to_json(report: ReplicationReport) -> dict:
 # Scenario files
 # ---------------------------------------------------------------------------
 
-def _check_keys(section: dict, known: tuple[str, ...], where: str) -> None:
+def _mapping(section, known: tuple[str, ...], where: str) -> dict:
+    """A copy of ``section`` once it is a mapping of known keys only."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a key-value mapping, got {section!r}")
     for key in section:
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in {where}; "
                               f"expected one of {', '.join(known)}")
+    return dict(section)
 
 
 def _expand_grid(grid) -> list[dict]:
     if grid is None:
         return [{}]
     if isinstance(grid, list):
-        points = [dict(pt) for pt in grid]
-        for i, pt in enumerate(points):
-            _check_keys(pt, _GRID_KEYS, f"grid point {i}")
-        return points
+        return [_mapping(pt, _GRID_KEYS, f"grid point {i}") for i, pt in enumerate(grid)]
     # mapping of axes -> full cross product, stable axis order
-    _check_keys(grid, _GRID_KEYS, "grid axes")
+    grid = _mapping(grid, _GRID_KEYS, "grid axes")
     points = [{}]
     for axis, values in grid.items():
         points = [{**pt, axis: v} for pt in points for v in values]
@@ -330,35 +334,32 @@ def load_scenarios(path, desk: bool = False, base_seed: int | None = None) -> li
     the ``desk`` key are applied to M, m, and R.  An unknown key raises
     ConfigError naming the key and where it was found; so do ``chain.seed``
     (chain seeds come from ``base_seed``) and a ``chain.init`` other than
-    ``auto``.
+    ``auto``, and a section (``population``, ``design``, ``chain``,
+    ``priors``, ``desk``, a grid point or the grid axes) that is empty or
+    not a mapping.
     """
     with open(path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError(f"scenario file {path} is not a key-value tree")
-    _check_keys(cfg, _FILE_KEYS, "the top level")
+    _mapping(cfg, _FILE_KEYS, "the top level")
     name = cfg.get("name", "scenario")
-    pop = dict(cfg.get("population", {}))
-    base_design = dict(cfg.get("design", {}))
-    _check_keys(pop, _SECTION_KEYS, "population")
-    _check_keys(base_design, _SECTION_KEYS, "design")
-    chain_cfg = dict(cfg.get("chain", {}))
-    if "seed" in chain_cfg:
+    pop = _mapping(cfg.get("population", {}), _SECTION_KEYS, "population")
+    base_design = _mapping(cfg.get("design", {}), _SECTION_KEYS, "design")
+    chain_cfg = cfg.get("chain", {})
+    if isinstance(chain_cfg, dict) and "seed" in chain_cfg:
         raise ConfigError("chain.seed is not read: every chain seed is derived per "
                           "replicate from base_seed; set base_seed or pass --seed")
-    _check_keys(chain_cfg, _CHAIN_KEYS, "chain")
+    chain_cfg = _mapping(chain_cfg, _CHAIN_KEYS, "chain")
     if chain_cfg.get("init", "auto") != "auto":
         raise ConfigError(f"chain.init must be 'auto' in a scenario file, "
                           f"got {chain_cfg['init']!r}")
     chain = ChainConfig(**chain_cfg)
-    priors_cfg = dict(cfg.get("priors", {}))
-    _check_keys(priors_cfg, _PRIOR_KEYS, "priors")
-    priors = PriorConfig(**priors_cfg)
+    priors = PriorConfig(**_mapping(cfg.get("priors", {}), _PRIOR_KEYS, "priors"))
     estimators = tuple(cfg.get("estimators", list(ESTIMATORS)))
     seed = int(base_seed if base_seed is not None else cfg.get("base_seed", 0))
     R = int(cfg.get("R", 1))
-    desk_factors = cfg.get("desk", {})  # consulted only with desk=True
-    _check_keys(desk_factors, _DESK_KEYS, "desk")
+    desk_factors = _mapping(cfg.get("desk", {}), _DESK_KEYS, "desk")  # read only with desk=True
 
     scenarios = []
     for idx, point in enumerate(_expand_grid(cfg.get("grid"))):

@@ -8,15 +8,16 @@ Three routes share one pseudo-posterior target:
   prior by the cluster weight ``w_k``;
 * adaptive random-walk Metropolis on (mu, log tau_a, log tau_eps) using
   the likelihood with every cluster effect marginalized out analytically;
-* simplex (Nelder-Mead) maximization of that integrated posterior.
+* its mode, found by a one-dimensional search in log(tau_a/tau_eps): for
+  each ratio the maximizing mu and tau_eps are in closed form.
 
 Every density is computed once, from the per-cluster weighted sums in
 ``_SuffStats`` and their totals, taken once per chain.  The public ``fc_*``
 functions are views of the conditionals ``run_gibbs`` draws from; the
 integrated-MCMC and MAP routes share one integrated log posterior on
-(mu, log tau_a, log tau_eps).  The per-unit ``augmented_logpseudo*``
-densities are the independent reference the tests check those closed
-forms against.
+(mu, log tau_a, log tau_eps), which also scores every point of the MAP
+search.  The per-unit ``augmented_logpseudo*`` densities are the
+independent reference the tests check those closed forms against.
 
 Per iteration the kernels do only the vector work they need: a Gibbs sweep
 draws the m cluster effects and reduces them to four dot products, from
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .csvio import write_csv
 from .errors import ChainDivergenceError, ConfigError
@@ -48,6 +48,7 @@ from .rng import substream
 log = logging.getLogger(__name__)
 
 _TAU_MIN, _TAU_MAX = 1e-12, 1e12
+_LOG_TAU_MAX = 600.0  # |log tau| beyond which the integrated posterior is -inf
 PARAM_NAMES = ("b0", "sigma_a", "sigma_eps")
 
 
@@ -380,7 +381,7 @@ def _integrated_logpost_x(mu: float, lta: float, lte: float, stats: _SuffStats,
     """Integrated log posterior at (mu, log tau_a, log tau_eps), as a
     density in the precisions (no Jacobian); -inf where |log tau| > 600,
     beyond which exp over- or underflows."""
-    if abs(lta) > 600 or abs(lte) > 600:
+    if abs(lta) > _LOG_TAU_MAX or abs(lte) > _LOG_TAU_MAX:
         return -math.inf
     return _integrated_logpost_stats(mu, math.exp(lta), math.exp(lte), stats, prior)
 
@@ -542,35 +543,86 @@ def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig)
                        acceptance_rate=accepted / max(proposals, 1), iterations=its)
 
 
-def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "auto",
-                 seed: int = 0, n_starts: int = 3, max_evals: int = 2000):
-    """Nelder-Mead maximization of the integrated log posterior.
+# The MAP search runs over log r, r = tau_a/tau_eps, within +-700, where
+# exp(log r) neither over- nor underflows; for any tau_eps* inside
+# exp(+-100) the |log tau| guard cuts in first.  Grid offsets from the
+# start are 0, +-1, +-3, ..., +-2047, so the grid spans that range from any
+# start, densest near it.
+_LOG_R_MAX = 700.0
+_GRID_OFFSETS = tuple(sorted({s * (2.0 ** j - 1.0) for j in range(12) for s in (-1, 1)}))
+_LOG_R_TOL = 1e-9
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-    Runs ``n_starts`` jittered starts in (mu, log tau_a, log tau_eps) and
-    returns ``(theta, loglik, converged)`` for the best: the MAP state,
-    the integrated log-likelihood there, and whether the winning start met
-    the 1e-9 objective tolerance within ``max_evals`` evaluations.
+
+def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "auto",
+                 seed: int = 0):
+    """Mode of the integrated log posterior, by a profile search in log r,
+    r = tau_a/tau_eps.
+
+    For fixed r, with d_k = sw_k + r w_k and u_k = w_k/d_k, the posterior
+    is maximized in closed form by mu* = sum u_k swy_k / sum u_k sw_k (a
+    weighted mean of the cluster means ybar_k) and tau_eps* =
+    kappa/(E/2 + beta1 r + beta2), tau_a* = r tau_eps*, where
+    E = WSS + r sum u_k sw_k (ybar_k - mu*)^2 is the weighted residual sum
+    of squares at mu*, WSS its within-cluster part and
+    kappa = (S + W - m)/2 + alpha1 + alpha2 - 2.  Only log r is searched:
+    a grid around the ratio of ``init``, then golden-section refinement
+    between the neighbours of the best grid point, each point scored with
+    the one integrated log posterior.
+
+    Returns ``(theta, loglik, converged)``: the best state found, the
+    integrated log-likelihood there, and whether it is an interior mode.
+    ``converged`` is False when the maximum lies on the edge of the
+    searched range (``|log tau| <= 600``), and theta is that edge point;
+    it is also False when kappa <= 0, where tau_eps has no mode, and theta
+    is the start.  Neither case raises.  ``seed`` is accepted for
+    compatibility and does not affect the result.
     """
     stats = _suffstats(sample, weights)
     mu0, ta0, te0 = _resolve_init(init, stats)
-    x0 = np.array([mu0, math.log(ta0), math.log(te0)])
-    rng = substream(seed, 7)
-
-    def neg_obj(v: np.ndarray) -> float:
-        return -_integrated_logpost_x(*v, stats, prior)
-
-    best = None
+    best = (mu0, math.log(ta0), math.log(te0))
+    best_value = _integrated_logpost_x(*best, stats, prior)
+    kappa = 0.5 * (stats.sw_tot + stats.w_k_tot - stats.m) + prior.alpha1 + prior.alpha2 - 2.0
     converged = False
-    for s in range(n_starts):
-        start = x0 if s == 0 else x0 + rng.normal(0.0, [0.25, 0.5, 0.5])
-        res = minimize(neg_obj, start, method="Nelder-Mead",
-                       options={"fatol": 1e-9, "xatol": 1e-8, "maxfev": max_evals,
-                                "maxiter": max_evals})
-        if best is None or res.fun < best.fun:
-            best = res
-            converged = bool(res.success)
-    mu, lta, lte = best.x
-    theta = ParamState(mu=float(mu), tau_a=float(math.exp(lta)), tau_eps=float(math.exp(lte)))
+    if kappa > 0:
+        ybar = stats.swy / stats.sw
+        wss = float(np.sum(stats.swyy - stats.swy * ybar))
+        sw_over_w = stats.sw / stats.w_k
+
+        def score(x: float) -> float:
+            nonlocal best, best_value
+            r = math.exp(x)
+            u_sw = stats.sw / (sw_over_w + r)
+            mu = float(u_sw @ ybar) / float(u_sw.sum())
+            dev = ybar - mu
+            lte = math.log(kappa) - math.log(
+                0.5 * (wss + r * float(u_sw @ (dev * dev))) + prior.beta1 * r + prior.beta2)
+            value = _integrated_logpost_x(mu, x + lte, lte, stats, prior)
+            if value > best_value:
+                best, best_value = (mu, x + lte, lte), value
+            return value
+
+        x0 = best[1] - best[2]
+        grid = [-_LOG_R_MAX, *(x0 + off for off in _GRID_OFFSETS if abs(x0 + off) < _LOG_R_MAX),
+                _LOG_R_MAX]
+        values = [score(x) for x in grid]
+        i = max(range(len(grid)), key=values.__getitem__)
+        if 0 < i < len(grid) - 1 and math.isfinite(values[i]):
+            a, b = grid[i - 1], grid[i + 1]
+            c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+            fc, fd = score(c), score(d)
+            while b - a > _LOG_R_TOL:
+                if fc >= fd:
+                    b, d, fd = d, c, fc
+                    c = b - _INV_PHI * (b - a)
+                    fc = score(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + _INV_PHI * (b - a)
+                    fd = score(d)
+            converged = max(abs(best[1]), abs(best[2])) < _LOG_TAU_MAX - 1e-6
+    mu, lta, lte = best
+    theta = ParamState(mu=float(mu), tau_a=math.exp(lta), tau_eps=math.exp(lte))
     ll = _integrated_loglik_stats(theta.mu, theta.tau_a, theta.tau_eps, stats)
     return theta, float(ll), converged
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from svyanova.design import SampleDraw, WeightMode, WeightSet
@@ -55,6 +56,17 @@ def make_instance(seed: int, m_max: int = 5, nk_max: int = 4, w_range=(1.0, 5.0)
     )
     prior = PriorConfig(*(float(v) for v in rng.uniform(0.5, 2.0, size=4)))
     return sample, weights, state, prior
+
+
+# Seeds 0-19 are the default small instances; the named edge instances add
+# single-unit single-cluster samples, cluster and unit weights spanning
+# 0.01-1000, and up to 20 clusters of up to 20 units.
+CASES = [pytest.param({"seed": s}, id=str(s)) for s in range(20)] + [
+    pytest.param({"seed": s, **kw}, id=f"{name}-{s}")
+    for name, kw in (("m1-single-unit", {"m_max": 1, "nk_max": 1}),
+                     ("weights-1e-2-1e3", {"w_range": (0.01, 1000.0), "log_weights": True}),
+                     ("m20-nk20", {"m_max": 20, "nk_max": 20}))
+    for s in range(4)]
 
 
 def cluster_logintegrand(y, w_jk, w_k, mu, tau_a, tau_eps):

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,19 @@ def tiny_scenario(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_CFG)
     return path
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; importing it would triple start-up
+    # time of every command and pool worker
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, svyanova.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSimulate:

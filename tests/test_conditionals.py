@@ -9,7 +9,7 @@ from svyanova.inference import (ParamState, PriorConfig, augmented_logpseudolike
                                 augmented_logpseudoposterior, fc_a_k, fc_mu,
                                 fc_tau_a, fc_tau_eps, log_priors)
 
-from helpers import make_instance
+from helpers import CASES, make_instance
 
 
 def _one_cluster(y, w_jk, w_k):
@@ -111,17 +111,6 @@ class TestPrecisionConditionals:
         shape, scale = fc_tau_eps(2.0, np.zeros(1), sample, weights, prior)
         assert shape == pytest.approx(prior.alpha2 + 0.5 * 12)
         assert scale == pytest.approx(prior.beta2 + 0.5 * np.sum((y - 2.0) ** 2))
-
-
-# Seeds 0-19 are the default small instances; the named edge instances add
-# single-unit single-cluster samples, cluster and unit weights spanning
-# 0.01-1000, and up to 20 clusters of up to 20 units.
-CASES = [pytest.param({"seed": s}, id=str(s)) for s in range(20)] + [
-    pytest.param({"seed": s, **kw}, id=f"{name}-{s}")
-    for name, kw in (("m1-single-unit", {"m_max": 1, "nk_max": 1}),
-                     ("weights-1e-2-1e3", {"w_range": (0.01, 1000.0), "log_weights": True}),
-                     ("m20-nk20", {"m_max": 20, "nk_max": 20}))
-    for s in range(4)]
 
 
 class TestConjugacyAgainstJoint:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import svyanova
 from svyanova.design import ClusterDesign, TwoStageDesign, UnitDesign
 from svyanova.errors import ConfigError
 from svyanova.harness import (ESTIMATORS, ReplicationReport, Scenario,
@@ -185,6 +186,8 @@ class TestEmitPlotData:
                                            "thin": 1, "init": "auto"}
         assert js["scenario"]["priors"] == {"alpha1": 0.1, "beta1": 0.1,
                                             "alpha2": 0.1, "beta2": 0.1}
+        assert js["scenario"]["svyanova_version"] == svyanova.__version__
+        assert js["scenario"]["numpy_version"] == np.__version__
         assert len(js["diagnostics"]) == 2
         for r, diag in enumerate(js["diagnostics"]):
             assert diag["double_gibbs"]["converged"] is True
@@ -275,6 +278,21 @@ class TestScenarioFiles:
         cfg = tmp_path / "s.cfg"
         cfg.write_text(f"name: x\nR: 1\n{body}\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in {where}"):
+            load_scenarios(cfg)
+
+    @pytest.mark.parametrize("body, where", [
+        ("chain:", "chain"),
+        ("chain: [1, 2]", "chain"),
+        ("population: 3", "population"),
+        ("priors: [0.1]", "priors"),
+        ("desk:", "desk"),
+        ("grid: [[40, 10]]", "grid point 0"),
+    ], ids=["chain-empty", "chain-list", "population-scalar", "priors-list", "desk-empty",
+            "grid-point-list"])
+    def test_section_not_a_mapping_rejected(self, tmp_path, body, where):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"name: x\nR: 1\n{body}\n")
+        with pytest.raises(ConfigError, match=f"^{where} must be a key-value mapping"):
             load_scenarios(cfg)
 
     def test_chain_seed_rejected(self, tmp_path):

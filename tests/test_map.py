@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from svyanova.design import WeightMode, build_weights
+from svyanova.design import SampleDraw, WeightMode, build_weights
 from svyanova.errors import ConfigError
 from svyanova.inference import (ChainConfig, ParamState, PriorConfig,
                                 integrated_logposterior, map_estimate, run_gibbs,
                                 run_integrated_mcmc)
 from svyanova.popgen import PopulationConfig, generate_population
 
-from helpers import census_sample, make_instance
+from helpers import CASES, census_sample, make_instance
 
 PRIOR = PriorConfig()
 
@@ -54,10 +56,42 @@ class TestMapEstimate:
                 run(sample, weights, prior, chain)
 
     def test_deterministic_given_seed(self):
+        # the search draws nothing: the seed is accepted and ignored
         sample, weights, _, prior = make_instance(4)
         t1, l1, c1 = map_estimate(sample, weights, prior, seed=5)
         t2, l2, c2 = map_estimate(sample, weights, prior, seed=5)
+        t3, l3, c3 = map_estimate(sample, weights, prior, seed=6)
         assert (t1.mu, t1.tau_a, t1.tau_eps, l1, c1) == (t2.mu, t2.tau_a, t2.tau_eps, l2, c2)
+        assert (t1.mu, t1.tau_a, t1.tau_eps, l1, c1) == (t3.mu, t3.tau_a, t3.tau_eps, l3, c3)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_no_coordinate_step_improves(self, case):
+        sample, weights, _, prior = make_instance(**case)
+        theta, _, converged = map_estimate(sample, weights, prior)
+        assert converged
+        best = integrated_logposterior(theta, sample, weights, prior)
+        x = (theta.mu, math.log(theta.tau_a), math.log(theta.tau_eps))
+        for i in range(3):
+            for step in (-1e-4, 1e-4):
+                y = list(x)
+                y[i] += step
+                moved = (y[0], math.exp(y[1]), math.exp(y[2]))
+                assert integrated_logposterior(moved, sample, weights, prior) <= best
+
+    @pytest.mark.parametrize("n", [1, 5], ids=["kappa-negative", "tau_a-edge"])
+    def test_one_cluster_has_no_interior_mode(self, n):
+        # normalized weights give W = 1, so W/2 + alpha1 - 1 < 0 under the
+        # default priors and the posterior grows without bound as tau_a -> 0;
+        # with one unit, kappa <= 0 and tau_eps has no mode either
+        y = np.random.default_rng(n).normal(1.0, 2.0, size=n)
+        sample = SampleDraw(cluster_ids=np.array([0]), unit_ids=[np.arange(n)],
+                            pi_h=np.array([0.3]), pi_l_given_h=[np.full(n, 0.5)], y_s=[y])
+        weights = build_weights(sample, WeightMode.DOUBLE)
+        theta, loglik, converged = map_estimate(sample, weights, PRIOR)
+        assert not converged
+        assert all(math.isfinite(v) for v in (theta.mu, theta.tau_a, theta.tau_eps, loglik))
+        if n > 1:
+            assert math.log(theta.tau_a) < -599.0
 
     def test_returns_loglik_at_estimate(self):
         from svyanova.inference import integrated_loglik

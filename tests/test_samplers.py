@@ -163,7 +163,7 @@ class TestIntegratedMcmc:
 class TestStreamPin:
     """Draws of one small instance, pinned so that a change to the random
     streams is made on purpose: a kernel rewrite that keeps the streams
-    moves the draws by rounding only, and MAP within its simplex tolerance."""
+    moves the draws by rounding only, and MAP within its search tolerance."""
 
     CHAIN = ChainConfig(n_iterations=60, n_burnin=10, seed=11)
 

@@ -9,20 +9,23 @@ linear unit designs) are computed once per population, so drawing from
 each selected cluster costs O(N_h).  Weights invert the realized
 inclusion probabilities and are optionally normalized so the
 pseudo-likelihood's effective sample size equals the realized sample
-size.
+size.  Samples and weights hold each per-unit quantity once, as a flat
+array in cluster order with cluster offsets, so only the stage-2 draw
+loops over clusters (one random substream each).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .csvio import write_csv
 from .errors import DesignError
-from .popgen import Population
+from .popgen import Population, cluster_offsets
 from .rng import substream
 
 _SUM_TOL = 1e-9
@@ -62,21 +65,28 @@ class TwoStageDesign:
     seed: int
 
 
+def cluster_views(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+    """Per-cluster views of a flat per-unit array (no copies)."""
+    return np.split(flat, offsets[1:-1])
+
+
 @dataclass(frozen=True)
 class SampleDraw:
     """One realized two-stage sample.
 
     ``pi_h`` covers all M population clusters (diagnostics expand sample
-    sums to population sums); ``pi_l_given_h[i]`` is the full conditional
-    inclusion vector over the units of selected cluster ``cluster_ids[i]``.
-    ``unit_ids[i]`` indexes into that cluster's units, strictly increasing.
+    sums to population sums).  Per-unit arrays are flat, in cluster order:
+    selected cluster ``cluster_ids[i]`` owns the non-empty run
+    ``offsets[i]:offsets[i + 1]``, where ``units`` indexes its population
+    units in increasing order.
     """
 
     cluster_ids: np.ndarray        # (m,) strictly increasing population indices
-    unit_ids: list[np.ndarray]     # per selected cluster, strictly increasing
+    offsets: np.ndarray            # (m + 1,) cluster boundaries in the unit arrays
+    units: np.ndarray              # (n,) unit index within its cluster
     pi_h: np.ndarray               # (M,) marginal cluster inclusion probabilities
-    pi_l_given_h: list[np.ndarray]  # per selected cluster, length N_k
-    y_s: list[np.ndarray]          # sampled responses per selected cluster
+    pi_cond: np.ndarray            # (n,) pi_{j|k} of the sampled units
+    y: np.ndarray                  # (n,) sampled responses
 
     @property
     def m(self) -> int:
@@ -84,33 +94,41 @@ class SampleDraw:
 
     @property
     def n_total(self) -> int:
-        return sum(len(ids) for ids in self.unit_ids)
+        return len(self.y)
+
+    @property
+    def n_k(self) -> np.ndarray:
+        """Sampled units per selected cluster."""
+        return np.diff(self.offsets)
 
     def cluster_probs(self) -> np.ndarray:
         """pi_k for the selected clusters."""
         return self.pi_h[self.cluster_ids]
 
+    # per-cluster views, for callers that index by cluster
+    unit_ids = property(lambda self: cluster_views(self.units, self.offsets))
+    y_s = property(lambda self: cluster_views(self.y, self.offsets))
+    pi_l_given_h = property(lambda self: cluster_views(self.pi_cond, self.offsets))
+
     def selected_unit_probs(self) -> list[np.ndarray]:
         """pi_{j|k} at the sampled units of each selected cluster."""
-        return [self.pi_l_given_h[i][self.unit_ids[i]] for i in range(self.m)]
+        return cluster_views(self.pi_cond, self.offsets)
 
 
 @dataclass(frozen=True)
 class WeightSet:
-    """Cluster, conditional, and marginal weights plus their aggregates."""
+    """Cluster weights, and unit weights flat in the sample's unit order."""
 
     mode: WeightMode
     w_k: np.ndarray                # (m,) cluster weights
-    w_j_given_k: list[np.ndarray]  # per cluster, conditional unit weights
-    w_jk: list[np.ndarray]         # per cluster, marginal unit weights
-    N_hat_k: np.ndarray            # per cluster, sum_j w_{j|k}
+    offsets: np.ndarray            # (m + 1,) the sample's cluster boundaries
+    w_cond: np.ndarray             # (n,) conditional unit weights w_{j|k}
+    w_marg: np.ndarray             # (n,) marginal unit weights w_jk
     M_hat: float                   # sum_k w_k
-    N_hat: float                   # sum_{jk} w_jk
-    normalization: dict = field(default_factory=dict)
 
-    @property
-    def m(self) -> int:
-        return len(self.w_k)
+    # per-cluster views, for callers that index by cluster
+    w_j_given_k = property(lambda self: cluster_views(self.w_cond, self.offsets))
+    w_jk = property(lambda self: cluster_views(self.w_marg, self.offsets))
 
 
 def size_measures(population: Population, kind, cluster: int | None = None) -> np.ndarray:
@@ -135,7 +153,7 @@ def size_measures(population: Population, kind, cluster: int | None = None) -> n
         raise DesignError(f"unknown design kind: {kind!r}")
     if cluster is None:
         raise DesignError("unit size measures require a cluster index")
-    eps = population.eps0[cluster]
+    eps = population.eps0[population.offsets[cluster]:population.offsets[cluster + 1]]
     if kind is UnitDesign.QUADRATIC:
         return np.maximum(0.0, eps) ** 2 + 1.0
     if kind is UnitDesign.WEAK_QUADRATIC:
@@ -231,15 +249,17 @@ def draw_two_stage_sample(population: Population, design: TwoStageDesign) -> Sam
         raise DesignError(f"n_k={design.n_k} invalid for N_h={min(population.config.N_h)}")
     pi_h = inclusion_probs(size_measures(population, design.cluster_kind), design.m)
     cluster_ids = systematic_pps(pi_h, substream(design.seed, 1))
-    unit_ids, pi_l, y_s = [], [], []
+    units, pi_cond = [], []
     for k in cluster_ids:
         pi_u = inclusion_probs(size_measures(population, design.unit_kind, cluster=k), design.n_k)
         sel = systematic_pps(pi_u, substream(design.seed, 2, int(k)))
-        unit_ids.append(sel)
-        pi_l.append(pi_u)
-        y_s.append(population.y[k][sel])
-    return SampleDraw(cluster_ids=cluster_ids, unit_ids=unit_ids,
-                      pi_h=pi_h, pi_l_given_h=pi_l, y_s=y_s)
+        units.append(sel)
+        pi_cond.append(pi_u[sel])
+    units = np.concatenate(units)
+    rows = np.repeat(population.offsets[cluster_ids], design.n_k) + units
+    return SampleDraw(cluster_ids=cluster_ids, offsets=design.n_k * np.arange(len(cluster_ids) + 1),
+                      units=units, pi_h=pi_h, pi_cond=np.concatenate(pi_cond),
+                      y=population.y[rows])
 
 
 def build_weights(sample: SampleDraw, mode: WeightMode | str = WeightMode.DOUBLE,
@@ -254,48 +274,24 @@ def build_weights(sample: SampleDraw, mode: WeightMode | str = WeightMode.DOUBLE
     unit weights sum to n_k; without it all constants are 1.
     """
     mode = WeightMode(mode)
-    m = sample.m
+    n_k = sample.n_k
     pi_k = sample.cluster_probs()
-    pi_jk = sample.selected_unit_probs()
-    if np.any(pi_k == 0) or any(np.any(p == 0) for p in pi_jk):
+    if np.any(pi_k == 0) or np.any(sample.pi_cond == 0):
         raise DesignError("zero inclusion probability among selected elements")
-    norm: dict = {"c1": 1.0, "c2": np.ones(m)}
-
     if mode is WeightMode.EQUAL:
-        w_k = np.ones(m)
-        w_cond = [np.ones(len(p)) for p in pi_jk]
-        w_marg = [np.ones(len(p)) for p in pi_jk]
+        w_k, w_cond = np.ones(sample.m), np.ones(sample.n_total)
     elif mode is WeightMode.DOUBLE:
-        w_k = 1.0 / pi_k
+        w_k, w_cond = 1.0 / pi_k, 1.0 / sample.pi_cond
         if normalize:
-            norm["c1"] = m / w_k.sum()
-            w_k = w_k * norm["c1"]
-        w_cond, w_marg = [], []
-        for i, p in enumerate(pi_jk):
-            w = 1.0 / p
-            if normalize:
-                c2 = len(p) / w.sum()
-                norm["c2"][i] = c2
-                w = w * c2
-            w_cond.append(w)
-            w_marg.append(w_k[i] * w)
+            w_k = w_k * (sample.m / w_k.sum())
     else:  # SINGLE: unit-level weights only, prior unweighted
-        w_k = np.ones(m)
-        w_marg = []
-        for i, p in enumerate(pi_jk):
-            w = 1.0 / (pi_k[i] * p)
-            if normalize:
-                c2 = len(p) / w.sum()
-                norm["c2"][i] = c2
-                w = w * c2
-            w_marg.append(w)
-        w_cond = [w.copy() for w in w_marg]  # w_k == 1, so w_{j|k} == w_jk
-
-    N_hat_k = np.array([w.sum() for w in w_cond])
-    return WeightSet(mode=mode, w_k=w_k, w_j_given_k=w_cond, w_jk=w_marg,
-                     N_hat_k=N_hat_k, M_hat=float(w_k.sum()),
-                     N_hat=float(sum(w.sum() for w in w_marg)),
-                     normalization=norm)
+        w_k, w_cond = np.ones(sample.m), 1.0 / (np.repeat(pi_k, n_k) * sample.pi_cond)
+    if normalize and mode is not WeightMode.EQUAL:
+        w_cond = w_cond * np.repeat(n_k / np.add.reduceat(w_cond, sample.offsets[:-1]), n_k)
+    # w_k == 1 outside double mode, so w_jk == w_{j|k} there
+    w_marg = np.repeat(w_k, n_k) * w_cond if mode is WeightMode.DOUBLE else w_cond
+    return WeightSet(mode=mode, w_k=w_k, offsets=sample.offsets, w_cond=w_cond,
+                     w_marg=w_marg, M_hat=float(w_k.sum()))
 
 
 SAMPLE_CSV_COLUMNS = ["cluster_id", "unit_id", "y", "pi_h", "pi_l_given_h",
@@ -304,13 +300,25 @@ SAMPLE_CSV_COLUMNS = ["cluster_id", "unit_id", "y", "pi_h", "pi_l_given_h",
 
 def sample_to_csv(sample: SampleDraw, weights: WeightSet, path) -> None:
     """Export one row per sampled unit; floats round-trip exactly."""
-    pi_k = sample.cluster_probs()
-    pi_jk = sample.selected_unit_probs()
+    n_k = sample.n_k
     write_csv(path, SAMPLE_CSV_COLUMNS,
-              ([int(k), int(unit), sample.y_s[i][j], pi_k[i], pi_jk[i][j],
-                weights.w_k[i], weights.w_j_given_k[i][j], weights.w_jk[i][j]]
-               for i, k in enumerate(sample.cluster_ids)
-               for j, unit in enumerate(sample.unit_ids[i])))
+              zip(np.repeat(sample.cluster_ids, n_k).tolist(), sample.units.tolist(), sample.y,
+                  np.repeat(sample.cluster_probs(), n_k), sample.pi_cond,
+                  np.repeat(weights.w_k, n_k), weights.w_cond, weights.w_marg))
+
+
+def _csv_column(rows: list[dict], name: str, parse, valid, requirement: str) -> np.ndarray:
+    """One parsed column; a bad value raises DesignError naming the line."""
+    values = []
+    for line, row in enumerate(rows, start=2):  # line 1 is the header
+        try:
+            values.append(parse(row[name]))
+            if not valid(values[-1]):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise DesignError(f"sample CSV line {line}: {name} must be {requirement}, "
+                              f"got {row[name]!r}") from None
+    return np.array(values)
 
 
 def sample_from_csv(path) -> SampleDraw:
@@ -318,27 +326,30 @@ def sample_from_csv(path) -> SampleDraw:
 
     Only sampled rows exist in the file, so the returned draw covers the
     selected clusters (``pi_h`` has one entry per selected cluster) and
-    their sampled units; that is all estimation consumes.
+    their sampled units; that is all estimation consumes.  Rows are grouped
+    by ``cluster_id`` in increasing order, keeping file order within a
+    cluster.  ``y`` must be finite and both probabilities in (0, 1].
     """
-    by_cluster: dict[int, list[dict]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(SAMPLE_CSV_COLUMNS[:5]) - set(reader.fieldnames or [])
         if missing:
             raise DesignError(f"sample CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            by_cluster.setdefault(int(row["cluster_id"]), []).append(row)
-    if not by_cluster:
+        rows = list(reader)
+    if not rows:
         raise DesignError("sample CSV contains no data rows")
-    pi_h, unit_ids, pi_l, y_s = [], [], [], []
-    for k in sorted(by_cluster):
-        rows = by_cluster[k]
-        pis = {float(r["pi_h"]) for r in rows}
-        if len(pis) != 1:
-            raise DesignError(f"cluster {k} has inconsistent pi_h values")
-        pi_h.append(pis.pop())
-        unit_ids.append(np.arange(len(rows)))
-        pi_l.append(np.array([float(r["pi_l_given_h"]) for r in rows]))
-        y_s.append(np.array([float(r["y"]) for r in rows]))
-    return SampleDraw(cluster_ids=np.arange(len(pi_h)), unit_ids=unit_ids,
-                      pi_h=np.array(pi_h), pi_l_given_h=pi_l, y_s=y_s)
+    cluster = _csv_column(rows, "cluster_id", int, lambda v: True, "an integer")
+    y = _csv_column(rows, "y", float, math.isfinite, "a finite number")
+    in_unit_interval = lambda v: 0.0 < v <= 1.0
+    pi_h = _csv_column(rows, "pi_h", float, in_unit_interval, "in (0, 1]")
+    pi_cond = _csv_column(rows, "pi_l_given_h", float, in_unit_interval, "in (0, 1]")
+    order = np.argsort(cluster, kind="stable")
+    cluster, pi_h = cluster[order], pi_h[order]
+    ids, starts, counts = np.unique(cluster, return_index=True, return_counts=True)
+    inconsistent = pi_h != np.repeat(pi_h[starts], counts)
+    if inconsistent.any():
+        raise DesignError(f"cluster {cluster[inconsistent.argmax()]} has inconsistent pi_h values")
+    offsets = cluster_offsets(counts)
+    return SampleDraw(cluster_ids=np.arange(len(ids)), offsets=offsets,
+                      units=np.arange(len(rows)) - np.repeat(offsets[:-1], counts),
+                      pi_h=pi_h[starts], pi_cond=pi_cond[order], y=y[order])

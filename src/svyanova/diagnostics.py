@@ -110,7 +110,7 @@ def weighted_residual_balance(population: Population, design: TwoStageDesign,
         pi = inclusion_probs(size_measures(population, design.unit_kind, cluster=h),
                              design.n_k)
         n = pps_sample_size(pi)
-        eps = population.eps0[h]
+        eps = population.eps0[population.offsets[h]:population.offsets[h + 1]]
         total = 0.0
         for t in range(n_replicates):
             sel = select_pps(pi, n, substream(design.seed, 4, t, h))
@@ -157,11 +157,10 @@ def informativeness_summary(population: Population, sample: SampleDraw,
                             design: str = "") -> InformativenessSummary:
     """Paired population/sample quantiles of a-values and noise values."""
     pop_a = np.quantile(population.a0, QUANTS)
-    pop_eps = np.quantile(population.eps_flat(), QUANTS)
+    pop_eps = np.quantile(population.eps0, QUANTS)
     samp_a = np.quantile(population.a0[sample.cluster_ids], QUANTS)
-    samp_eps = np.quantile(
-        np.concatenate([population.eps0[k][sample.unit_ids[i]]
-                        for i, k in enumerate(sample.cluster_ids)]), QUANTS)
+    rows = np.repeat(population.offsets[sample.cluster_ids], sample.n_k) + sample.units
+    samp_eps = np.quantile(population.eps0[rows], QUANTS)
     as_tuple = lambda q: tuple(float(v) for v in q)
     return InformativenessSummary(
         design=design,
@@ -185,11 +184,9 @@ def bounds_report(population: Population, sample: SampleDraw, weights: WeightSet
     M = population.M
     m = sample.m
     wk_bound = float(np.max(weights.w_k) * m / M)
-    unit_bound = 0.0
-    for i, k in enumerate(sample.cluster_ids):
-        N_k = population.config.N_h[k]
-        n_k = len(sample.unit_ids[i])
-        unit_bound = max(unit_bound, float(np.max(weights.w_j_given_k[i]) * n_k / N_k))
+    max_w = np.maximum.reduceat(weights.w_cond, sample.offsets[:-1])
+    N_k = np.asarray(population.config.N_h)[sample.cluster_ids]
+    unit_bound = float(np.max(max_w * sample.n_k / N_k))
     frac = m / M
     return BoundsReport(cluster_weight_bound=wk_bound, unit_weight_bound=unit_bound,
                         cluster_fraction=frac, threshold=threshold,

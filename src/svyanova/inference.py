@@ -12,10 +12,12 @@ Three routes share one pseudo-posterior target:
   each ratio the maximizing mu and tau_eps are in closed form.
 
 Every density is computed once, from the per-cluster weighted sums in
-``_SuffStats`` and their totals, taken once per chain.  The public ``fc_*``
-functions are views of the conditionals ``run_gibbs`` draws from; the
-integrated-MCMC and MAP routes share one integrated log posterior on
-(mu, log tau_a, log tau_eps), which also scores every point of the MAP
+``_SuffStats`` and their totals, taken once per chain.  The sums are of y
+centred at its weighted mean, so that a large mean costs no digits; every
+route works in the centred mu and adds the centre back to its results.
+The public ``fc_*`` functions are views of the conditionals ``run_gibbs``
+draws from; the integrated-MCMC and MAP routes share one integrated log
+posterior on (mu, log tau_a, log tau_eps), which also scores the MAP
 search.  The per-unit ``augmented_logpseudo*`` densities are the
 independent reference the tests check those closed forms against.
 
@@ -177,14 +179,16 @@ class DrawsMatrix:
 
 @dataclass(frozen=True)
 class _SuffStats:
-    """Per-cluster weighted sums and their totals; everything the three
-    routes consume.  Built once per chain."""
+    """Per-cluster weighted sums of the centred response y - center and
+    their totals; everything the three routes consume.  Built once per
+    chain."""
 
     w_k: np.ndarray    # cluster weights
     sw: np.ndarray     # sum_j w_jk
-    swy: np.ndarray    # sum_j w_jk y_jk
-    swyy: np.ndarray   # sum_j w_jk y_jk^2
+    swy: np.ndarray    # sum_j w_jk (y_jk - center)
+    swyy: np.ndarray   # sum_j w_jk (y_jk - center)^2
     n_k: np.ndarray    # realized units per cluster
+    center: float = 0.0  # weighted mean of y
     sw_tot: float = field(init=False)
     swy_tot: float = field(init=False)
     swyy_tot: float = field(init=False)
@@ -202,15 +206,13 @@ class _SuffStats:
 
 
 def _suffstats(sample, weights) -> _SuffStats:
-    w_jk, y = weights.w_jk, sample.y_s
-    m = len(y)
-    return _SuffStats(
-        w_k=np.asarray(weights.w_k, dtype=float),
-        sw=np.array([w_jk[k].sum() for k in range(m)]),
-        swy=np.array([(w_jk[k] * y[k]).sum() for k in range(m)]),
-        swyy=np.array([(w_jk[k] * y[k] ** 2).sum() for k in range(m)]),
-        n_k=np.array([len(y[k]) for k in range(m)]),
-    )
+    w, starts = weights.w_marg, sample.offsets[:-1]
+    center = float(w @ sample.y / w.sum())
+    y = sample.y - center
+    wy = w * y
+    return _SuffStats(w_k=np.asarray(weights.w_k, dtype=float), sw=np.add.reduceat(w, starts),
+                      swy=np.add.reduceat(wy, starts), swyy=np.add.reduceat(wy * y, starts),
+                      n_k=sample.n_k, center=center)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +256,8 @@ def fc_a_k(k: int, mu: float, tau_a: float, tau_eps: float, sample, weights):
     phi_k = tau_eps * sum_j w_jk + tau_a * w_k,
     h_k = tau_eps * sum_j w_jk (y_jk - mu) / phi_k.
     """
-    h, phi = _cond_a(_suffstats(sample, weights), mu, tau_a, tau_eps)
+    stats = _suffstats(sample, weights)
+    h, phi = _cond_a(stats, mu - stats.center, tau_a, tau_eps)
     return float(h[k]), float(phi[k])
 
 
@@ -265,7 +268,8 @@ def fc_mu(a: np.ndarray, tau_eps: float, sample, weights):
     """
     stats = _suffstats(sample, weights)
     a_sw = _effect_sums(stats, np.asarray(a, dtype=float))[0]
-    return _cond_mu(stats, a_sw, tau_eps)
+    mean, prec = _cond_mu(stats, a_sw, tau_eps)
+    return mean + stats.center, prec
 
 
 def fc_tau_a(a: np.ndarray, w_k: np.ndarray, prior: PriorConfig):
@@ -285,7 +289,7 @@ def fc_tau_eps(mu: float, a: np.ndarray, sample, weights, prior: PriorConfig):
     """Inverse-gamma full conditional for tau_eps^-1: returns (shape, scale)."""
     stats = _suffstats(sample, weights)
     a_sw, a_swy, _, aa_sw = _effect_sums(stats, np.asarray(a, dtype=float))
-    return _cond_tau_eps(stats, mu, a_sw, a_swy, aa_sw, prior)
+    return _cond_tau_eps(stats, mu - stats.center, a_sw, a_swy, aa_sw, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +317,12 @@ def augmented_logpseudolikelihood(state: ParamState, sample, weights) -> float:
     + sum_k w_k log N(a_k | 0, tau_a^-1).
     """
     a = state.a
-    if a is None or len(a) != len(sample.y_s):
+    if a is None or len(a) != sample.m:
         raise ValueError("state must carry one cluster effect per sampled cluster")
     mu, tau_a, tau_eps = state.mu, state.tau_a, state.tau_eps
-    ll = 0.0
-    for k in range(len(sample.y_s)):
-        w = weights.w_jk[k]
-        r = sample.y_s[k] - mu - a[k]
-        ll += float(np.sum(w * (0.5 * math.log(tau_eps) - 0.5 * math.log(2 * math.pi)
-                                - 0.5 * tau_eps * r ** 2)))
+    r = sample.y - mu - np.repeat(a, sample.n_k)
+    ll = float(np.sum(weights.w_marg * (0.5 * math.log(tau_eps) - 0.5 * math.log(2 * math.pi)
+                                        - 0.5 * tau_eps * r ** 2)))
     w_k = np.asarray(weights.w_k, dtype=float)
     ll += float(np.sum(w_k * (0.5 * math.log(tau_a) - 0.5 * math.log(2 * math.pi)
                               - 0.5 * tau_a * np.asarray(a) ** 2)))
@@ -362,11 +363,12 @@ def _integrated_loglik_stats(mu: float, tau_a: float, tau_eps: float,
             - 0.5 * tau_eps * sw_res)
 
 
-def _theta_tuple(theta) -> tuple[float, float, float]:
+def _centred_theta(theta, stats: _SuffStats) -> tuple[float, float, float]:
+    """(mu - center, tau_a, tau_eps) from a ParamState or a 3-tuple."""
     if isinstance(theta, ParamState):
-        return float(theta.mu), float(theta.tau_a), float(theta.tau_eps)
+        theta = theta.mu, theta.tau_a, theta.tau_eps
     mu, tau_a, tau_eps = theta
-    return float(mu), float(tau_a), float(tau_eps)
+    return float(mu) - stats.center, float(tau_a), float(tau_eps)
 
 
 def _integrated_logpost_stats(mu: float, tau_a: float, tau_eps: float,
@@ -394,13 +396,14 @@ def integrated_loglik(theta, sample, weights) -> float:
     augmented integrand; the closed form is the reciprocal of a normal
     density at h_k times weighted normal kernels in tau_a and tau_eps.
     """
-    return _integrated_loglik_stats(*_theta_tuple(theta), _suffstats(sample, weights))
+    stats = _suffstats(sample, weights)
+    return _integrated_loglik_stats(*_centred_theta(theta, stats), stats)
 
 
 def integrated_logposterior(theta, sample, weights, prior: PriorConfig) -> float:
     """integrated_loglik plus log priors; the MAP objective."""
-    return _integrated_logpost_stats(*_theta_tuple(theta), _suffstats(sample, weights),
-                                     prior)
+    stats = _suffstats(sample, weights)
+    return _integrated_logpost_stats(*_centred_theta(theta, stats), stats, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +422,9 @@ def _auto_init(stats: _SuffStats) -> tuple[float, float, float]:
 
 
 def _resolve_init(init: ParamState | str, stats: _SuffStats) -> tuple[float, float, float]:
+    """Starting (mu - center, tau_a, tau_eps)."""
     if isinstance(init, ParamState):
-        return init.mu, init.tau_a, init.tau_eps
+        return init.mu - stats.center, init.tau_a, init.tau_eps
     if init == "auto":
         return _auto_init(stats)
     raise ConfigError(f"unknown chain init: {init!r}")
@@ -475,7 +479,7 @@ def run_gibbs(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsM
             a_kept[i] = a
 
     mus, tas, tes = kept.T.copy()
-    return DrawsMatrix(mu=mus, tau_a=tas, tau_eps=tes, a=a_kept, iterations=its)
+    return DrawsMatrix(mu=mus + stats.center, tau_a=tas, tau_eps=tes, a=a_kept, iterations=its)
 
 
 def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:
@@ -539,7 +543,7 @@ def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig)
             kept[(it - chain.n_burnin) // chain.thin] = x0, math.exp(x1), math.exp(x2)
 
     mus, tas, tes = kept.T.copy()
-    return DrawsMatrix(mu=mus, tau_a=tas, tau_eps=tes, a=None,
+    return DrawsMatrix(mu=mus + stats.center, tau_a=tas, tau_eps=tes, a=None,
                        acceptance_rate=accepted / max(proposals, 1), iterations=its)
 
 
@@ -550,8 +554,7 @@ def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig)
 # start, densest near it.
 _LOG_R_MAX = 700.0
 _GRID_OFFSETS = tuple(sorted({s * (2.0 ** j - 1.0) for j in range(12) for s in (-1, 1)}))
-_LOG_R_TOL = 1e-9
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LOG_R_TOL = 1e-12  # above the spacing of doubles up to 1024, so bisection ends
 
 
 def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "auto",
@@ -566,9 +569,16 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
     E = WSS + r sum u_k sw_k (ybar_k - mu*)^2 is the weighted residual sum
     of squares at mu*, WSS its within-cluster part and
     kappa = (S + W - m)/2 + alpha1 + alpha2 - 2.  Only log r is searched:
-    a grid around the ratio of ``init``, then golden-section refinement
-    between the neighbours of the best grid point, each point scored with
-    the one integrated log posterior.
+    a grid around the ratio of ``init``, each point scored with the one
+    integrated log posterior, then bisection between the neighbours of the
+    best grid point on the sign of the profile's slope in log r,
+    (W - m + sum s_k)/2 + alpha1 - 1 - kappa r (sum u_k sw_k s_k
+    (ybar_k - mu*)^2/2 + beta1)/B with s_k = sw_k/d_k, B = E/2 + beta1 r +
+    beta2.  A root of the slope is placed to rounding, where comparing
+    values near a flat maximum places it to the square root of rounding.
+    The bisection stops at the edge of ``|log tau| <= 600`` if the slope
+    points out of it; its end points replace the best grid point only if
+    they score higher.
 
     Returns ``(theta, loglik, converged)``: the best state found, the
     integrated log-likelihood there, and whether it is an interior mode.
@@ -589,14 +599,21 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
         wss = float(np.sum(stats.swyy - stats.swy * ybar))
         sw_over_w = stats.sw / stats.w_k
 
-        def score(x: float) -> float:
-            nonlocal best, best_value
+        def profile(x: float) -> tuple[float, float, float]:
+            """(mu*, log tau_eps*, slope of the profile log posterior) at log r = x."""
             r = math.exp(x)
             u_sw = stats.sw / (sw_over_w + r)
+            s_k = u_sw / stats.w_k
             mu = float(u_sw @ ybar) / float(u_sw.sum())
-            dev = ybar - mu
-            lte = math.log(kappa) - math.log(
-                0.5 * (wss + r * float(u_sw @ (dev * dev))) + prior.beta1 * r + prior.beta2)
+            dev2 = (ybar - mu) ** 2
+            b = 0.5 * (wss + r * float(u_sw @ dev2)) + prior.beta1 * r + prior.beta2
+            slope = (0.5 * (stats.w_k_tot - stats.m + float(s_k.sum())) + prior.alpha1 - 1.0
+                     - kappa * r * (0.5 * float((u_sw * s_k) @ dev2) + prior.beta1) / b)
+            return mu, math.log(kappa) - math.log(b), slope
+
+        def score(x: float) -> float:
+            nonlocal best, best_value
+            mu, lte, _ = profile(x)
             value = _integrated_logpost_x(mu, x + lte, lte, stats, prior)
             if value > best_value:
                 best, best_value = (mu, x + lte, lte), value
@@ -609,21 +626,23 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
         i = max(range(len(grid)), key=values.__getitem__)
         if 0 < i < len(grid) - 1 and math.isfinite(values[i]):
             a, b = grid[i - 1], grid[i + 1]
-            c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-            fc, fd = score(c), score(d)
             while b - a > _LOG_R_TOL:
-                if fc >= fd:
-                    b, d, fd = d, c, fc
-                    c = b - _INV_PHI * (b - a)
-                    fc = score(c)
+                c = 0.5 * (a + b)
+                _, lte, slope = profile(c)
+                # the points inside the |log tau| guard form an interval
+                # around grid[i]; from outside it, step back toward grid[i]
+                if max(abs(c + lte), abs(lte)) > _LOG_TAU_MAX:
+                    a, b = (c, b) if c < grid[i] else (a, c)
+                elif slope > 0:
+                    a = c
                 else:
-                    a, c, fc = c, d, fd
-                    d = a + _INV_PHI * (b - a)
-                    fd = score(d)
+                    b = c
+            score(a)
+            score(b)
             converged = max(abs(best[1]), abs(best[2])) < _LOG_TAU_MAX - 1e-6
     mu, lta, lte = best
-    theta = ParamState(mu=float(mu), tau_a=math.exp(lta), tau_eps=math.exp(lte))
-    ll = _integrated_loglik_stats(theta.mu, theta.tau_a, theta.tau_eps, stats)
+    theta = ParamState(mu=float(mu) + stats.center, tau_a=math.exp(lta), tau_eps=math.exp(lte))
+    ll = _integrated_loglik_stats(float(mu), theta.tau_a, theta.tau_eps, stats)
     return theta, float(ll), converged
 
 

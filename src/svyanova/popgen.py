@@ -1,9 +1,11 @@
 """Finite-population generation for the one-way random-intercept model.
 
-Responses decompose exactly as ``y[h][l] = mu0 + a0[h] + eps0[h][l]`` with
-Gaussian cluster effects ``a0`` and unit noise ``eps0``.  The latent draws
-are kept alongside ``y`` because the informative sampling designs select
-on them (cluster sizes on ``a0``, unit sizes on ``eps0``).
+Responses decompose exactly as ``y = mu0 + a0[h] + eps0`` for every unit
+of cluster h, with Gaussian cluster effects ``a0`` and unit noise ``eps0``.
+The latent draws are kept alongside ``y`` because the informative sampling
+designs select on them (cluster sizes on ``a0``, unit sizes on ``eps0``).
+Per-unit arrays are flat, in cluster order; ``cluster_offsets`` gives the
+boundaries.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ class PopulationConfig:
 
     ``N_h`` may be a single int (constant cluster size) or a sequence of
     per-cluster sizes; it is normalized to a tuple of length ``M``.
-    ``sigma_a0`` and ``sigma_eps0`` are standard deviations (the precisions
-    are their inverse squares).
+    ``sigma_a0`` and ``sigma_eps0`` are standard deviations.
     """
 
     M: int
@@ -54,32 +55,33 @@ class PopulationConfig:
     def N(self) -> int:
         return sum(self.N_h)
 
-    @property
-    def tau_a0(self) -> float:
-        return self.sigma_a0 ** -2
 
-    @property
-    def tau_eps0(self) -> float:
-        return self.sigma_eps0 ** -2
+def cluster_offsets(counts) -> np.ndarray:
+    """Offsets such that cluster k of ``counts`` is ``offsets[k]:offsets[k + 1]``."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
 
 
 @dataclass(frozen=True)
 class Population:
     """A realized finite population, immutable after construction.
 
-    ``eps_min`` is derived from ``eps0`` once, at construction: the linear
-    unit designs offset every cluster's size measures by this population
-    constant, so a sample draw reads it instead of rescanning all clusters.
+    ``eps0`` and ``y`` hold one entry per unit, cluster by cluster: cluster
+    h is ``offsets[h]:offsets[h + 1]``.  ``offsets`` and ``eps_min`` are
+    derived once, at construction: the linear unit designs offset every
+    cluster's size measures by the population constant ``eps_min``, so a
+    sample draw reads it instead of rescanning all clusters.
     """
 
     config: PopulationConfig
     a0: np.ndarray                # (M,) cluster effects
-    eps0: list[np.ndarray]        # eps0[h] has N_h entries
-    y: list[np.ndarray]           # y[h][l] = mu0 + a0[h] + eps0[h][l]
+    eps0: np.ndarray              # (N,) unit noise in cluster order
+    y: np.ndarray                 # (N,) mu0 + a0[h] + eps0 for the units of cluster h
+    offsets: np.ndarray = field(init=False)  # (M + 1,) from config.N_h
     eps_min: float = field(init=False)  # min over all units' eps0
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_min", float(self.eps_flat().min()))
+        object.__setattr__(self, "offsets", cluster_offsets(self.config.N_h))
+        object.__setattr__(self, "eps_min", float(self.eps0.min()))
 
     @property
     def M(self) -> int:
@@ -88,9 +90,6 @@ class Population:
     @property
     def N(self) -> int:
         return self.config.N
-
-    def eps_flat(self) -> np.ndarray:
-        return np.concatenate(self.eps0)
 
 
 def generate_population(config: PopulationConfig) -> Population:
@@ -101,17 +100,16 @@ def generate_population(config: PopulationConfig) -> Population:
     ``y - mu0 - a0 - eps0 == 0`` holds bitwise.  Identical configs yield
     bit-identical populations.
     """
-    counts = np.asarray(config.N_h)
     a0 = substream(config.seed, 0).normal(0.0, config.sigma_a0, size=config.M)
-    flat = substream(config.seed, 1).normal(0.0, config.sigma_eps0, size=int(counts.sum()))
-    eps0 = np.split(flat, np.cumsum(counts)[:-1])
-    y = [config.mu0 + a0[h] + eps0[h] for h in range(config.M)]
+    eps0 = substream(config.seed, 1).normal(0.0, config.sigma_eps0, size=config.N)
+    y = config.mu0 + np.repeat(a0, config.N_h) + eps0
     return Population(config=config, a0=a0, eps0=eps0, y=y)
 
 
 def population_to_csv(population: Population, path) -> None:
     """Dump the population as (cluster_id, unit_id, a0, eps0, y) rows;
     values round-trip exactly."""
+    h = np.repeat(np.arange(population.M), population.config.N_h)
+    unit = np.arange(population.N) - population.offsets[h]
     write_csv(path, ["cluster_id", "unit_id", "a0", "eps0", "y"],
-              ([h, l, population.a0[h], population.eps0[h][l], population.y[h][l]]
-               for h in range(population.M) for l in range(population.config.N_h[h])))
+              zip(h.tolist(), unit.tolist(), population.a0[h], population.eps0, population.y))

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from svyanova.design import SampleDraw, WeightMode, WeightSet
 from svyanova.inference import ParamState, PriorConfig
+from svyanova.popgen import cluster_offsets
 
 
 def make_instance(seed: int, m_max: int = 5, nk_max: int = 4, w_range=(1.0, 5.0),
@@ -34,19 +35,17 @@ def make_instance(seed: int, m_max: int = 5, nk_max: int = 4, w_range=(1.0, 5.0)
         return rng.uniform(*w_range, size=size)
 
     w_k = draw_weights(m)
-    w_cond = [draw_weights(int(n)) for n in n_k]
-    w_jk = [w_k[i] * w_cond[i] for i in range(m)]
+    w_cond = np.concatenate([draw_weights(int(n)) for n in n_k])
+    offsets = cluster_offsets(n_k)
     sample = SampleDraw(
-        cluster_ids=np.arange(m),
-        unit_ids=[np.arange(int(n)) for n in n_k],
-        pi_h=np.full(m, 0.5),
-        pi_l_given_h=[np.full(int(n), 0.5) for n in n_k],
-        y_s=y,
+        cluster_ids=np.arange(m), offsets=offsets,
+        units=np.concatenate([np.arange(int(n)) for n in n_k]),
+        pi_h=np.full(m, 0.5), pi_cond=np.full(offsets[-1], 0.5),
+        y=np.concatenate(y),
     )
     weights = WeightSet(
-        mode=WeightMode.DOUBLE, w_k=w_k, w_j_given_k=w_cond, w_jk=w_jk,
-        N_hat_k=np.array([w.sum() for w in w_cond]),
-        M_hat=float(w_k.sum()), N_hat=float(sum(w.sum() for w in w_jk)),
+        mode=WeightMode.DOUBLE, w_k=w_k, offsets=offsets, w_cond=w_cond,
+        w_marg=np.repeat(w_k, n_k) * w_cond, M_hat=float(w_k.sum()),
     )
     state = ParamState(
         mu=float(rng.normal(0.0, 1.0)),
@@ -96,29 +95,25 @@ def quad_cluster_logintegral(y, w_jk, w_k, mu, tau_a, tau_eps) -> float:
 
 def single_cluster_instance(sample, weights, k: int):
     """Restrict an instance to cluster k (for per-cluster comparisons)."""
+    units = slice(sample.offsets[k], sample.offsets[k + 1])
+    offsets = np.array([0, sample.n_k[k]])
     sub_sample = SampleDraw(
-        cluster_ids=np.array([0]),
-        unit_ids=[np.arange(len(sample.y_s[k]))],
-        pi_h=np.array([sample.pi_h[k]]),
-        pi_l_given_h=[np.asarray(sample.pi_l_given_h[k])],
-        y_s=[sample.y_s[k]],
+        cluster_ids=np.array([0]), offsets=offsets, units=np.arange(sample.n_k[k]),
+        pi_h=np.array([sample.pi_h[k]]), pi_cond=sample.pi_cond[units], y=sample.y[units],
     )
     sub_weights = WeightSet(
-        mode=weights.mode, w_k=np.array([weights.w_k[k]]),
-        w_j_given_k=[weights.w_j_given_k[k]], w_jk=[weights.w_jk[k]],
-        N_hat_k=np.array([weights.w_j_given_k[k].sum()]),
-        M_hat=float(weights.w_k[k]), N_hat=float(weights.w_jk[k].sum()),
+        mode=weights.mode, w_k=np.array([weights.w_k[k]]), offsets=offsets,
+        w_cond=weights.w_cond[units], w_marg=weights.w_marg[units],
+        M_hat=float(weights.w_k[k]),
     )
     return sub_sample, sub_weights
 
 
 def census_sample(population) -> SampleDraw:
     """Every cluster and unit, all inclusion probabilities exactly one."""
-    M = population.M
+    M, N = population.M, population.N
     return SampleDraw(
-        cluster_ids=np.arange(M),
-        unit_ids=[np.arange(population.config.N_h[h]) for h in range(M)],
-        pi_h=np.ones(M),
-        pi_l_given_h=[np.ones(population.config.N_h[h]) for h in range(M)],
-        y_s=[population.y[h] for h in range(M)],
+        cluster_ids=np.arange(M), offsets=population.offsets,
+        units=np.arange(N) - np.repeat(population.offsets[:-1], population.config.N_h),
+        pi_h=np.ones(M), pi_cond=np.ones(N), y=population.y,
     )

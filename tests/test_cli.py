@@ -148,6 +148,17 @@ class TestEstimate:
         assert "loglik" in js
         assert js["posterior_sd"] is None
 
+    def test_out_of_range_probability_rejected(self, sample_csv, capsys):
+        with open(sample_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("pi_l_given_h")
+        rows[1][col], rows[2][col] = "1.5", "-0.5"  # one cluster, sum unchanged
+        with open(sample_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["estimate", "--data", str(sample_csv), "--weights-mode", "double",
+                     "--method", "map"]) == 2
+        assert "line 2: pi_l_given_h must be in (0, 1]" in capsys.readouterr().err
+
     def test_bad_data_path_errors(self):
         assert main(["estimate", "--data", "/nonexistent.csv", "--weights-mode",
                      "equal", "--method", "map"]) == 2

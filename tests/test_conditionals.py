@@ -16,13 +16,12 @@ def _one_cluster(y, w_jk, w_k):
     from svyanova.design import SampleDraw, WeightMode, WeightSet
 
     y = np.asarray(y, dtype=float)
-    w_jk = [np.asarray(w_jk, dtype=float)]
-    sample = SampleDraw(cluster_ids=np.array([0]), unit_ids=[np.arange(len(y))],
-                        pi_h=np.array([1.0]), pi_l_given_h=[np.ones(len(y))], y_s=[y])
-    weights = WeightSet(mode=WeightMode.DOUBLE, w_k=np.array([float(w_k)]),
-                        w_j_given_k=w_jk, w_jk=w_jk,
-                        N_hat_k=np.array([w_jk[0].sum()]), M_hat=float(w_k),
-                        N_hat=float(w_jk[0].sum()))
+    w_jk = np.asarray(w_jk, dtype=float)
+    offsets = np.array([0, len(y)])
+    sample = SampleDraw(cluster_ids=np.array([0]), offsets=offsets, units=np.arange(len(y)),
+                        pi_h=np.array([1.0]), pi_cond=np.ones(len(y)), y=y)
+    weights = WeightSet(mode=WeightMode.DOUBLE, w_k=np.array([float(w_k)]), offsets=offsets,
+                        w_cond=w_jk, w_marg=w_jk, M_hat=float(w_k))
     return sample, weights
 
 
@@ -231,7 +230,8 @@ class TestCollapseIdentity:
 
         cfg = PopulationConfig(M=2, N_h=(3, 2), mu0=0.0, sigma_a0=1.0,
                                sigma_eps0=1.0, seed=0)
-        pop = Population(config=cfg, a0=np.zeros(2), eps0=y, y=y)
+        pop = Population(config=cfg, a0=np.zeros(2), eps0=np.concatenate(y),
+                         y=np.concatenate(y))
         sample = census_sample(pop)
         from svyanova.design import WeightMode, build_weights
 

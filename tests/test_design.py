@@ -19,10 +19,8 @@ def _toy_population():
     cfg = PopulationConfig(M=3, N_h=(3, 2, 3), mu0=0.0, sigma_a0=1.0,
                            sigma_eps0=1.0, seed=0)
     a0 = np.array([0.0, 2.0, -2.0])
-    eps0 = [np.array([-1.0, 0.0, 2.0]), np.array([-4.0, 1.0]),
-            np.array([0.5, -0.5, 3.0])]
-    y = [a0[h] + eps0[h] for h in range(3)]
-    return Population(config=cfg, a0=a0, eps0=eps0, y=y)
+    eps0 = np.array([-1.0, 0.0, 2.0, -4.0, 1.0, 0.5, -0.5, 3.0])
+    return Population(config=cfg, a0=a0, eps0=eps0, y=np.repeat(a0, cfg.N_h) + eps0)
 
 
 class TestSizeMeasures:
@@ -174,8 +172,10 @@ class TestTwoStageSample:
                                 UnitDesign.QUADRATIC, m=10, n_k=4, seed=3)
         sample = draw_two_stage_sample(small_population, design)
         assert abs(sample.pi_h.sum() - design.m) < 1e-9
-        for pi in sample.pi_l_given_h:
-            assert abs(pi.sum() - design.n_k) < 1e-9
+        for k, units, pi in zip(sample.cluster_ids, sample.unit_ids, sample.pi_l_given_h):
+            roster = inclusion_probs(size_measures(small_population, design.unit_kind,
+                                                   cluster=k), design.n_k)
+            np.testing.assert_array_equal(pi, roster[units])
 
     def test_determinism(self, small_population):
         design = TwoStageDesign(ClusterDesign.LINEAR_ASYMMETRIC, UnitDesign.LINEAR,
@@ -265,16 +265,14 @@ class TestWeights:
         assert np.all(w.w_k == 1.0)
         for i in range(sample.m):
             assert np.all(w.w_jk[i] == 1.0)
-        np.testing.assert_allclose(w.N_hat_k, small_population.config.N_h)
+        np.testing.assert_allclose([u.sum() for u in w.w_j_given_k], small_population.config.N_h)
         assert w.M_hat == small_population.M
 
     def test_cluster_normalization_arithmetic(self):
         sample = SampleDraw(
-            cluster_ids=np.array([0, 1]),
-            unit_ids=[np.array([0]), np.array([0])],
-            pi_h=np.array([0.5, 0.25]),
-            pi_l_given_h=[np.array([1.0]), np.array([1.0])],
-            y_s=[np.array([0.0]), np.array([0.0])],
+            cluster_ids=np.array([0, 1]), offsets=np.array([0, 1, 2]),
+            units=np.array([0, 0]), pi_h=np.array([0.5, 0.25]),
+            pi_cond=np.array([1.0, 1.0]), y=np.array([0.0, 0.0]),
         )
         w = build_weights(sample, WeightMode.DOUBLE, normalize=True)
         np.testing.assert_allclose(w.w_k, [2 / 3, 4 / 3])
@@ -348,6 +346,54 @@ class TestSampleCsv:
         np.testing.assert_allclose(w2.w_k, weights.w_k, rtol=1e-12)
         for i in range(sample.m):
             np.testing.assert_allclose(w2.w_jk[i], weights.w_jk[i], rtol=1e-12)
+
+    @pytest.fixture
+    def sample_csv(self, small_population, tmp_path):
+        design = TwoStageDesign(ClusterDesign.QUADRATIC_SYMMETRIC,
+                                UnitDesign.QUADRATIC, m=4, n_k=3, seed=21)
+        sample = draw_two_stage_sample(small_population, design)
+        path = tmp_path / "sample.csv"
+        sample_to_csv(sample, build_weights(sample, WeightMode.DOUBLE), path)
+        return path
+
+    @staticmethod
+    def _set_cells(path, column, values_by_line):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for line, value in values_by_line.items():
+            rows[line - 1][rows[0].index(column)] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @pytest.mark.parametrize("column, value", [
+        ("y", "abc"), ("y", "nan"), ("y", "-inf"), ("y", ""),
+        ("pi_h", "0"), ("pi_h", "1.5"), ("pi_h", "nan"),
+        ("pi_l_given_h", "-0.5"), ("pi_l_given_h", "0.0"), ("pi_l_given_h", "1.0000001"),
+        ("cluster_id", "x"),
+    ])
+    def test_invalid_value_names_column_and_line(self, sample_csv, column, value):
+        self._set_cells(sample_csv, column, {4: value})
+        with pytest.raises(DesignError, match=f"line 4: {column} must be"):
+            sample_from_csv(sample_csv)
+
+    def test_out_of_range_probabilities_in_one_cluster_rejected(self, sample_csv):
+        # 1.5 and -0.5 keep the cluster's sum, so nothing downstream notices
+        self._set_cells(sample_csv, "pi_l_given_h", {2: "1.5", 3: "-0.5"})
+        with pytest.raises(DesignError, match=r"line 2: pi_l_given_h must be in \(0, 1\]"):
+            sample_from_csv(sample_csv)
+
+    def test_rows_grouped_by_cluster_in_file_order(self, sample_csv):
+        loaded = sample_from_csv(sample_csv)
+        with open(sample_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1:] = rows[1:][::-1]  # clusters and units in reverse
+        with open(sample_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        reversed_ = sample_from_csv(sample_csv)
+        np.testing.assert_array_equal(reversed_.offsets, loaded.offsets)
+        np.testing.assert_array_equal(reversed_.pi_h, loaded.pi_h)
+        for a, b in zip(reversed_.y_s, loaded.y_s):
+            np.testing.assert_array_equal(a, b[::-1])
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
 from svyanova import diagnostics
-from svyanova.design import (ClusterDesign, SampleDraw, TwoStageDesign, UnitDesign,
+from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign,
                              WeightMode, WeightSet, build_weights,
                              draw_two_stage_sample, inclusion_probs, size_measures)
 from svyanova.diagnostics import (bounds_report, informativeness_summary,
@@ -42,7 +43,7 @@ class TestBalance:
                                         _design(UnitDesign.QUADRATIC, n),
                                         n_replicates=3)
         # f_h = 1 forces the statistic to the population residual mean
-        pop_mean = medium_population.eps_flat().mean()
+        pop_mean = medium_population.eps0.mean()
         assert rep.overall_mean == pytest.approx(pop_mean, abs=1e-12)
 
     def test_monotone_in_sampling_fraction(self, medium_population):
@@ -68,7 +69,7 @@ class TestBalance:
         for h in range(pop.M):
             assert np.all(inclusion_probs(size_measures(pop, unit, cluster=h), n) == 1.0)
         rep = weighted_residual_balance(pop, _design(unit, n), n_replicates=T)
-        want = np.array([e.mean() for e in pop.eps0])
+        want = np.array([e.mean() for e in np.split(pop.eps0, pop.offsets[1:-1])])
         np.testing.assert_allclose(rep.per_cluster, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(rep.replicate_means, np.full(T, want.mean()),
                                    rtol=1e-12, atol=1e-12)
@@ -98,11 +99,9 @@ class TestWeightedREAverage:
     @staticmethod
     def _weights(w_k):
         w_k = np.asarray(w_k, dtype=float)
-        return WeightSet(mode=WeightMode.DOUBLE, w_k=w_k,
-                         w_j_given_k=[np.ones(1)] * len(w_k),
-                         w_jk=[np.ones(1)] * len(w_k),
-                         N_hat_k=np.ones(len(w_k)), M_hat=float(w_k.sum()),
-                         N_hat=float(len(w_k)))
+        return WeightSet(mode=WeightMode.DOUBLE, w_k=w_k, offsets=np.arange(len(w_k) + 1),
+                         w_cond=np.ones(len(w_k)), w_marg=np.ones(len(w_k)),
+                         M_hat=float(w_k.sum()))
 
     def test_zero_effects(self):
         out = weighted_re_average(self._draws_with_a(np.zeros((5, 3))),
@@ -166,14 +165,10 @@ class TestInformativeness:
         # permute each cluster's stored unit order; the set of sampled units
         # is unchanged, so quantiles are too
         rng = np.random.default_rng(0)
-        perm_units, perm_y = [], []
-        for i in range(sample.m):
-            p = rng.permutation(len(sample.unit_ids[i]))
-            perm_units.append(sample.unit_ids[i][p])
-            perm_y.append(sample.y_s[i][p])
-        relabeled = SampleDraw(cluster_ids=sample.cluster_ids, unit_ids=perm_units,
-                               pi_h=sample.pi_h, pi_l_given_h=sample.pi_l_given_h,
-                               y_s=perm_y)
+        perm = np.concatenate([start + rng.permutation(n)
+                               for start, n in zip(sample.offsets[:-1], sample.n_k)])
+        relabeled = replace(sample, units=sample.units[perm], pi_cond=sample.pi_cond[perm],
+                            y=sample.y[perm])
         s2 = informativeness_summary(small_population, relabeled)
         assert s1.sample_quantiles == s2.sample_quantiles
 

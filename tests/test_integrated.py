@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +29,7 @@ class TestKnownIdentities:
     def test_translation_invariance(self, c, seed):
         sample, weights, state, _ = make_instance(seed)
         base = integrated_loglik((state.mu, state.tau_a, state.tau_eps), sample, weights)
-        shifted_sample = type(sample)(
-            cluster_ids=sample.cluster_ids, unit_ids=sample.unit_ids,
-            pi_h=sample.pi_h, pi_l_given_h=sample.pi_l_given_h,
-            y_s=[y + c for y in sample.y_s])
+        shifted_sample = replace(sample, y=sample.y + c)
         shifted = integrated_loglik((state.mu + c, state.tau_a, state.tau_eps),
                                     shifted_sample, weights)
         assert shifted == pytest.approx(base, rel=1e-9, abs=1e-7)

@@ -18,9 +18,10 @@ PRIOR = PriorConfig()
 def _moment_estimates(pop):
     """One-way ANOVA method-of-moments with equal cluster sizes."""
     n = pop.config.N_h[0]
-    means = np.array([y.mean() for y in pop.y])
-    grand = np.concatenate(pop.y).mean()
-    msw = sum(float(np.sum((y - y.mean()) ** 2)) for y in pop.y) / (pop.M * (n - 1))
+    ys = np.split(pop.y, pop.offsets[1:-1])
+    means = np.array([y.mean() for y in ys])
+    grand = pop.y.mean()
+    msw = sum(float(np.sum((y - y.mean()) ** 2)) for y in ys) / (pop.M * (n - 1))
     msb = n * float(np.sum((means - grand) ** 2)) / (pop.M - 1)
     var_a = max((msb - msw) / n, 0.0)
     return grand, np.sqrt(var_a), np.sqrt(msw)
@@ -84,8 +85,9 @@ class TestMapEstimate:
         # default priors and the posterior grows without bound as tau_a -> 0;
         # with one unit, kappa <= 0 and tau_eps has no mode either
         y = np.random.default_rng(n).normal(1.0, 2.0, size=n)
-        sample = SampleDraw(cluster_ids=np.array([0]), unit_ids=[np.arange(n)],
-                            pi_h=np.array([0.3]), pi_l_given_h=[np.full(n, 0.5)], y_s=[y])
+        sample = SampleDraw(cluster_ids=np.array([0]), offsets=np.array([0, n]),
+                            units=np.arange(n), pi_h=np.array([0.3]),
+                            pi_cond=np.full(n, 0.5), y=y)
         weights = build_weights(sample, WeightMode.DOUBLE)
         theta, loglik, converged = map_estimate(sample, weights, PRIOR)
         assert not converged

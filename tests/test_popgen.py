@@ -33,9 +33,8 @@ class TestGeneration:
         p1 = generate_population(_cfg(seed=123))
         p2 = generate_population(_cfg(seed=123))
         assert np.array_equal(p1.a0, p2.a0)
-        for h in range(p1.M):
-            assert np.array_equal(p1.eps0[h], p2.eps0[h])
-            assert np.array_equal(p1.y[h], p2.y[h])
+        assert np.array_equal(p1.eps0, p2.eps0)
+        assert np.array_equal(p1.y, p2.y)
 
     def test_different_seeds_differ(self):
         p1 = generate_population(_cfg(seed=123))
@@ -48,24 +47,25 @@ class TestGeneration:
         # rounding (a few ulp)
         pop = generate_population(_cfg(seed=5))
         for h in range(pop.M):
-            assert np.array_equal(pop.y[h], pop.config.mu0 + pop.a0[h] + pop.eps0[h])
-            resid = pop.y[h] - pop.config.mu0 - pop.a0[h] - pop.eps0[h]
+            units = slice(pop.offsets[h], pop.offsets[h + 1])
+            assert np.array_equal(pop.y[units], pop.config.mu0 + pop.a0[h] + pop.eps0[units])
+            resid = pop.y[units] - pop.config.mu0 - pop.a0[h] - pop.eps0[units]
             assert np.all(np.abs(resid) < 1e-12)
 
     def test_eps_min_is_the_population_noise_minimum(self):
         pop = generate_population(_cfg(M=6, N_h=(3, 8, 1, 5, 2, 4), seed=9))
-        assert pop.eps_min == pop.eps_flat().min()
+        assert pop.eps_min == pop.eps0.min()
         # derived from eps0 when the population is built directly, too
         direct = Population(config=_cfg(M=2, N_h=(2, 1)), a0=np.zeros(2),
-                            eps0=[np.array([0.5, -1.5]), np.array([-0.25])],
-                            y=[np.zeros(2), np.zeros(1)])
+                            eps0=np.array([0.5, -1.5, -0.25]), y=np.zeros(3))
         assert direct.eps_min == -1.5
+        assert direct.offsets.tolist() == [0, 2, 3]
 
     def test_unequal_cluster_sizes(self):
         cfg = _cfg(M=4, N_h=(3, 8, 1, 5), seed=9)
         pop = generate_population(cfg)
-        assert [len(e) for e in pop.eps0] == [3, 8, 1, 5]
-        assert pop.N == 17
+        assert np.diff(pop.offsets).tolist() == [3, 8, 1, 5]
+        assert pop.N == len(pop.eps0) == len(pop.y) == 17
 
     def test_paper_scale_shape(self):
         pop = generate_population(_cfg(M=2000, N_h=40, seed=7))
@@ -75,14 +75,13 @@ class TestGeneration:
     def test_degenerate_scale(self):
         pop = generate_population(_cfg(M=3, N_h=2, sigma_a0=1e-12, seed=2))
         assert np.all(np.abs(pop.a0) < 1e-10)
-        for h in range(3):
-            np.testing.assert_allclose(pop.y[h], pop.config.mu0 + pop.eps0[h], atol=1e-10)
+        np.testing.assert_allclose(pop.y, pop.config.mu0 + pop.eps0, atol=1e-10)
 
     def test_moment_sanity(self):
         cfg = _cfg(M=4000, N_h=40, seed=11)
         pop = generate_population(cfg)
         assert abs(pop.a0.mean()) < 4 * cfg.sigma_a0 / np.sqrt(cfg.M)
-        eps = pop.eps_flat()
+        eps = pop.eps0
         assert abs(eps.mean()) < 4 * cfg.sigma_eps0 / np.sqrt(cfg.N)
 
     @pytest.mark.parametrize("seed", [11, 222, 3333])
@@ -106,5 +105,5 @@ class TestCsvDump:
         for row in rows:
             h, l = int(row["cluster_id"]), int(row["unit_id"])
             assert float(row["a0"]) == pop.a0[h]
-            assert float(row["eps0"]) == pop.eps0[h][l]
-            assert float(row["y"]) == pop.y[h][l]
+            assert float(row["eps0"]) == pop.eps0[pop.offsets[h] + l]
+            assert float(row["y"]) == pop.y[pop.offsets[h] + l]

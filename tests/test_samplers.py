@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                              build_weights, draw_two_stage_sample)
@@ -68,10 +70,7 @@ class TestGibbs:
         weights = build_weights(sample, WeightMode.DOUBLE)
         base = run_gibbs(sample, weights, PRIOR, CHAIN)
         c = 7.5
-        shifted_sample = type(sample)(
-            cluster_ids=sample.cluster_ids, unit_ids=sample.unit_ids,
-            pi_h=sample.pi_h, pi_l_given_h=sample.pi_l_given_h,
-            y_s=[y + c for y in sample.y_s])
+        shifted_sample = replace(sample, y=sample.y + c)
         shifted = run_gibbs(shifted_sample, weights, PRIOR, CHAIN)
         mc = 3 * (base.sd("b0") + shifted.sd("b0")) / math.sqrt(base.n_draws / 10)
         assert abs(shifted.mean("b0") - base.mean("b0") - c) < mc
@@ -81,11 +80,9 @@ class TestGibbs:
 
     def test_divergence_raises_with_iteration(self):
         sample, weights, _, prior = make_instance(3)
-        bad = [y.copy() for y in sample.y_s]
-        bad[0][0] = math.nan
-        nan_sample = type(sample)(cluster_ids=sample.cluster_ids,
-                                  unit_ids=sample.unit_ids, pi_h=sample.pi_h,
-                                  pi_l_given_h=sample.pi_l_given_h, y_s=bad)
+        bad = sample.y.copy()
+        bad[0] = math.nan
+        nan_sample = replace(sample, y=bad)
         with pytest.raises(ChainDivergenceError) as err:
             run_gibbs(nan_sample, weights, prior,
                       ChainConfig(n_iterations=10, n_burnin=1, seed=0,
@@ -116,6 +113,32 @@ class TestCensusReduction:
         for mode in (WeightMode.SINGLE, WeightMode.DOUBLE):
             assert np.array_equal(draws[mode].mu, draws[WeightMode.EQUAL].mu)
             assert np.array_equal(draws[mode].tau_a, draws[WeightMode.EQUAL].tau_a)
+
+
+class TestShiftInvariance:
+    """y + c moves b0 by c and leaves the scales alone, up to the rounding of
+    y + c itself (1e-15 |c| covers a few ulp of c), for c up to 1e6."""
+
+    KINDS = ({}, {"m_max": 1, "nk_max": 1}, {"m_max": 20, "nk_max": 20},
+             {"w_range": (0.01, 1000.0), "log_weights": True})
+
+    @given(c=st.floats(-1e6, 1e6), seed=st.integers(0, 19), kind=st.sampled_from(KINDS))
+    @example(c=1e6, seed=5, kind=KINDS[2])
+    @settings(max_examples=40, deadline=None)
+    def test_map_and_gibbs_follow_the_shift(self, c, seed, kind):
+        sample, weights, _, prior = make_instance(seed, **kind)
+        shifted = replace(sample, y=sample.y + c)
+        b0_tol = 1e-9 + 1e-15 * abs(c)
+        chain = ChainConfig(n_iterations=300, n_burnin=100, seed=seed)
+        base, moved = (run_gibbs(s, weights, prior, chain) for s in (sample, shifted))
+        np.testing.assert_allclose(moved.mu - c, base.mu, rtol=0, atol=b0_tol)
+        for p in ("sigma_a", "sigma_eps"):
+            np.testing.assert_allclose(moved.values(p), base.values(p), rtol=1e-9)
+        (base, _, _), (moved, _, _) = (map_estimate(s, weights, prior)
+                                       for s in (sample, shifted))
+        assert abs(moved.mu - c - base.mu) <= b0_tol
+        assert moved.sigma_a == pytest.approx(base.sigma_a, rel=1e-9)
+        assert moved.sigma_eps == pytest.approx(base.sigma_eps, rel=1e-9)
 
 
 class TestIntegratedMcmc:

@@ -9,21 +9,22 @@ from .design import (ClusterDesign, SampleDraw, TwoStageDesign, UnitDesign,
 from .diagnostics import (BalanceReport, BoundsReport, InformativenessSummary,
                           bounds_report, informativeness_summary,
                           weighted_re_average, weighted_residual_balance)
-from .errors import ChainDivergenceError, ConfigError, DesignError
+from .errors import ChainDivergenceError, ConfigError, DesignError, PosteriorError
 from .harness import (ReplicationReport, Scenario, emit_plot_data,
                       load_scenarios, run_grid, run_scenario)
 from .inference import (ChainConfig, DrawsMatrix, ParamState, PriorConfig,
                         augmented_logpseudolikelihood,
                         augmented_logpseudoposterior, fc_a_k, fc_mu, fc_tau_a,
                         fc_tau_eps, integrated_loglik, integrated_logposterior,
-                        map_estimate, run_gibbs, run_integrated_mcmc)
+                        map_estimate, posterior_means, run_gibbs,
+                        run_integrated_mcmc)
 from .popgen import Population, PopulationConfig, generate_population
 
 __all__ = [
     "__version__",
     "ChainConfig", "ChainDivergenceError", "ClusterDesign", "ConfigError",
     "DesignError", "DrawsMatrix", "ParamState", "Population",
-    "PopulationConfig", "PriorConfig", "ReplicationReport", "SampleDraw",
+    "PopulationConfig", "PosteriorError", "PriorConfig", "ReplicationReport", "SampleDraw",
     "Scenario", "TwoStageDesign", "UnitDesign", "WeightMode", "WeightSet",
     "BalanceReport", "BoundsReport", "InformativenessSummary",
     "augmented_logpseudolikelihood", "augmented_logpseudoposterior",
@@ -31,7 +32,7 @@ __all__ = [
     "emit_plot_data", "fc_a_k", "fc_mu", "fc_tau_a", "fc_tau_eps",
     "generate_population", "inclusion_probs", "informativeness_summary",
     "integrated_loglik", "integrated_logposterior", "load_scenarios",
-    "map_estimate", "run_gibbs", "run_grid",
+    "map_estimate", "posterior_means", "run_gibbs", "run_grid",
     "run_integrated_mcmc", "run_scenario", "size_measures", "systematic_pps",
     "weighted_re_average", "weighted_residual_balance",
 ]

@@ -57,10 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--data", required=True, help="sample CSV (export schema)")
     est.add_argument("--weights-mode", required=True,
                      choices=[m.value for m in WeightMode])
-    est.add_argument("--method", required=True, choices=["gibbs", "integrated", "map"])
+    est.add_argument("--method", required=True, choices=["gibbs", "integrated", "map"],
+                     help="gibbs: Gibbs chain over the augmented state; integrated: "
+                          "independent draws from the effect-marginalized posterior "
+                          "through its collapse to log(tau_a/tau_eps); map: its mode")
     est.add_argument("--seed", type=int, default=0,
-                     help="chain seed of gibbs and integrated; map does not draw")
-    est.add_argument("--iterations", type=int, default=4000)
+                     help="seed of gibbs and integrated draws; map does not draw")
+    est.add_argument("--iterations", type=int, default=4000,
+                     help="chain length; integrated makes iterations - burnin draws")
     est.add_argument("--burnin", type=int, default=2000)
     est.add_argument("--out", default=None, help="write the summary JSON here too")
     return parser

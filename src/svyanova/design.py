@@ -328,7 +328,8 @@ def sample_from_csv(path) -> SampleDraw:
     selected clusters (``pi_h`` has one entry per selected cluster) and
     their sampled units; that is all estimation consumes.  Rows are grouped
     by ``cluster_id`` in increasing order, keeping file order within a
-    cluster.  ``y`` must be finite and both probabilities in (0, 1].
+    cluster.  ``y`` must be finite, both probabilities in (0, 1], and each
+    (cluster_id, unit_id) pair may appear once.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -339,6 +340,13 @@ def sample_from_csv(path) -> SampleDraw:
     if not rows:
         raise DesignError("sample CSV contains no data rows")
     cluster = _csv_column(rows, "cluster_id", int, lambda v: True, "an integer")
+    unit = _csv_column(rows, "unit_id", int, lambda v: True, "an integer")
+    first_line = {}
+    for line, key in enumerate(zip(cluster.tolist(), unit.tolist()), start=2):
+        if key in first_line:
+            raise DesignError(f"sample CSV lines {first_line[key]} and {line}: unit {key[1]} "
+                              f"of cluster {key[0]} appears twice")
+        first_line[key] = line
     y = _csv_column(rows, "y", float, math.isfinite, "a finite number")
     in_unit_interval = lambda v: 0.0 < v <= 1.0
     pi_h = _csv_column(rows, "pi_h", float, in_unit_interval, "in (0, 1]")

@@ -2,7 +2,7 @@
 
 Each replicate generates its own population and sample on seeds split from
 the scenario's base seed, runs every requested estimator on the identical
-sample, and records point estimates (posterior means for the MCMC routes,
+sample, and records point estimates (posterior means for the sampling routes,
 the argmax for MAP).  Aggregation reports empirical 5/50/95% quantiles per
 estimator and parameter.  Reports are deterministic functions of the
 scenario, regardless of worker count.

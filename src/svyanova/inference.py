@@ -6,29 +6,32 @@ Three routes share one pseudo-posterior target:
   whose full conditionals are conjugate because the unit likelihood is
   exponentiated by the marginal weight ``w_jk`` and the random-effect
   prior by the cluster weight ``w_k``;
-* adaptive random-walk Metropolis on (mu, log tau_a, log tau_eps) using
-  the likelihood with every cluster effect marginalized out analytically;
-* its mode, found by a one-dimensional search in log(tau_a/tau_eps): for
-  each ratio the maximizing mu and tau_eps are in closed form.
+* independent draws from the likelihood with every cluster effect
+  marginalized out analytically, through its exact collapse to one
+  dimension: x = log(tau_a/tau_eps) has a closed-form density, and given x,
+  tau_eps is Gamma and mu Normal (``_collapsed``);
+* its mode, found by a one-dimensional search in x: for each ratio the
+  maximizing mu and tau_eps are in closed form.
 
 Every density is computed once, from the per-cluster weighted sums in
 ``_SuffStats`` and their totals, taken once per chain.  The sums are of y
 centred at its weighted mean, so that a large mean costs no digits; every
 route works in the centred mu and adds the centre back to its results.
 The public ``fc_*`` functions are views of the conditionals ``run_gibbs``
-draws from; the integrated-MCMC and MAP routes share one integrated log
-posterior on (mu, log tau_a, log tau_eps), which also scores the MAP
-search.  The per-unit ``augmented_logpseudo*`` densities are the
-independent reference the tests check those closed forms against.
+draws from; the collapsed draws, their quadrature means and the MAP search
+share one per-ratio algebra (``_conditionals``); the MAP is scored with the
+one integrated log posterior on (mu, log tau_a, log tau_eps).  The per-unit
+``augmented_logpseudo*`` densities are the independent reference the tests
+check those closed forms against.
 
-Per iteration the kernels do only the vector work they need: a Gibbs sweep
+Per iteration the Gibbs kernel does only the vector work it needs: a sweep
 draws the m cluster effects and reduces them to four dot products, from
-which the mu, tau_a and tau_eps conditionals follow over the totals; the
-integrated log posterior sums only phi h^2 and log phi over clusters; the
-random-walk step carries its state as floats.  Each chain draws
-``standard_normal(m)``, ``standard_normal()`` and two ``gamma`` per Gibbs
-sweep and ``standard_normal(3)``, ``uniform()`` per RWM step, in that
-order; a change to these calls changes the random streams.
+which the mu, tau_a and tau_eps conditionals follow over the totals.  Each
+Gibbs chain draws ``standard_normal(m)``, ``standard_normal()`` and two
+``gamma`` per sweep; the collapsed route draws all its ``uniform`` values
+(x by inverse CDF), then all ``standard_gamma`` (tau_eps), then all
+``standard_normal`` (mu), one per kept draw.  A change to these calls
+changes the random streams.
 
 Precisions ``tau`` are carried internally; reported scales are
 ``sigma = tau**-0.5`` applied per draw.
@@ -39,12 +42,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ChainDivergenceError, ConfigError
+from .errors import ChainDivergenceError, ConfigError, PosteriorError
 from .rng import substream
 
 log = logging.getLogger(__name__)
@@ -189,6 +193,7 @@ class _SuffStats:
     swyy: np.ndarray   # sum_j w_jk (y_jk - center)^2
     n_k: np.ndarray    # realized units per cluster
     center: float = 0.0  # weighted mean of y
+    wss: float = 0.0     # sum_jk w_jk (y_jk - ybar_k)^2, summed per unit
     sw_tot: float = field(init=False)
     swy_tot: float = field(init=False)
     swyy_tot: float = field(init=False)
@@ -204,15 +209,22 @@ class _SuffStats:
     def m(self) -> int:
         return len(self.w_k)
 
+    @cached_property
+    def ybar(self) -> np.ndarray:
+        """Weighted cluster means of the centred y."""
+        return self.swy / self.sw
+
 
 def _suffstats(sample, weights) -> _SuffStats:
     w, starts = weights.w_marg, sample.offsets[:-1]
     center = float(w @ sample.y / w.sum())
     y = sample.y - center
     wy = w * y
-    return _SuffStats(w_k=np.asarray(weights.w_k, dtype=float), sw=np.add.reduceat(w, starts),
-                      swy=np.add.reduceat(wy, starts), swyy=np.add.reduceat(wy * y, starts),
-                      n_k=sample.n_k, center=center)
+    sw, swy = np.add.reduceat(w, starts), np.add.reduceat(wy, starts)
+    within = y - np.repeat(swy / sw, sample.n_k)
+    return _SuffStats(w_k=np.asarray(weights.w_k, dtype=float), sw=sw, swy=swy,
+                      swyy=np.add.reduceat(wy * y, starts), n_k=sample.n_k, center=center,
+                      wss=float(w @ (within * within)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +358,23 @@ def augmented_logpseudoposterior(state: ParamState, sample, weights,
 
 def _integrated_loglik_stats(mu: float, tau_a: float, tau_eps: float,
                              stats: _SuffStats) -> float:
-    # Per cluster: 0.5 phi h^2 - 0.5 log phi + 0.5 w_k log tau_a
-    # + 0.5 sw log tau_eps - 0.5 tau_eps sum_j w_jk (y_jk - mu)^2, with h, phi
-    # from _cond_a; only the first two terms are summed over clusters here,
-    # the rest are taken from the per-chain totals.
+    # Per cluster, with phi = tau_eps sw + tau_a w_k the precision of a_k in
+    # _cond_a: -0.5 log phi + 0.5 w_k log tau_a + 0.5 sw log tau_eps, minus
+    # half of tau_eps WSS_k + q_k (ybar_k - mu)^2 with
+    # q_k = 1/(1/(tau_a w_k) + 1/(tau_eps sw_k)): the residual term is a sum
+    # of non-negative parts, so no digits cancel.
     # The 2-pi power carries the weighted exponents (sw + w_k - 1)/2 so the
     # value equals the exact integral of the weighted augmented integrand,
     # not just the integral up to a theta-free constant.
     if tau_a <= 0 or tau_eps <= 0:
         raise ValueError("precisions must be positive")
-    h, phi = _cond_a(stats, mu, tau_a, tau_eps)
-    sw_res = stats.swyy_tot - 2.0 * mu * stats.swy_tot + mu * mu * stats.sw_tot
-    return (0.5 * float(h @ (phi * h)) - 0.5 * float(np.log(phi).sum())
+    phi = tau_eps * stats.sw + tau_a * stats.w_k
+    q = tau_a * stats.w_k * (tau_eps * stats.sw / phi)
+    dev = stats.ybar - mu
+    return (-0.5 * float(np.log(phi).sum())
             + 0.5 * stats.w_k_tot * math.log(tau_a) + 0.5 * stats.sw_tot * math.log(tau_eps)
             - 0.5 * (stats.sw_tot + stats.w_k_tot - stats.m) * math.log(2 * math.pi)
-            - 0.5 * tau_eps * sw_res)
+            - 0.5 * (tau_eps * stats.wss + float(q @ (dev * dev))))
 
 
 def _centred_theta(theta, stats: _SuffStats) -> tuple[float, float, float]:
@@ -406,6 +420,160 @@ def integrated_logposterior(theta, sample, weights, prior: PriorConfig) -> float
     return _integrated_logpost_stats(*_centred_theta(theta, stats), stats, prior)
 
 
+# The collapse to x = log r, r = tau_a/tau_eps.  With d_k = sw_k + r w_k and
+# u_k = w_k/d_k the integrated pseudo-posterior factorizes exactly (the
+# variance-ratio reduction of the one-way model: Hill 1965, JASA 60:806; Box
+# & Tiao 1973, ch. 5):
+#   mu | x, tau_eps ~ N(mu*, 1/(tau_eps Q)),   tau_eps | x ~ Gamma(kappa + 3/2, rate B),
+#   log p(x) = -1/2 sum log d_k + (W/2 + alpha1) x - 1/2 log Q - (kappa + 3/2) log B,
+# up to a constant, where mu* = sum u_k swy_k / sum u_k sw_k, Q = r sum u_k sw_k,
+# E = WSS + r sum u_k sw_k (ybar_k - mu*)^2, B = E/2 + beta1 r + beta2,
+# W = sum w_k, S = sum sw_k and kappa = (S + W - m)/2 + alpha1 + alpha2 - 2.
+
+def _kappa(stats: _SuffStats, prior: PriorConfig) -> float:
+    return 0.5 * (stats.sw_tot + stats.w_k_tot - stats.m) + prior.alpha1 + prior.alpha2 - 2.0
+
+
+def _conditionals(stats: _SuffStats, prior: PriorConfig, xs: np.ndarray):
+    """(u_k sw_k, mu*, Q, B) at each x in ``xs``; u_k sw_k has one row per x."""
+    r = np.exp(xs)
+    u_sw = np.add.outer(r, stats.sw / stats.w_k)
+    np.divide(stats.sw, u_sw, out=u_sw)
+    u_tot = u_sw.sum(axis=1)
+    mu = (u_sw @ stats.ybar) / u_tot
+    dev = np.subtract.outer(mu, stats.ybar)
+    dev *= dev
+    dev *= u_sw
+    b = 0.5 * (stats.wss + r * dev.sum(axis=1)) + prior.beta1 * r + prior.beta2
+    return u_sw, mu, r * u_tot, b
+
+
+def _collapsed(stats: _SuffStats, prior: PriorConfig, xs: np.ndarray, density: bool = True):
+    """(log p(x), mu*(x), Q(x), B(x)) on an array of x = log(tau_a/tau_eps).
+
+    Evaluated a block of about 2^14 (x, cluster) entries at a time, so that
+    no (len(xs), m) array is held; log p is None unless ``density``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    rows = max(1, _BLOCK_ENTRIES // stats.m)
+    mu, q, b, half_log_usw = np.empty((4, len(xs)))
+    for start in range(0, len(xs), rows):
+        block = slice(start, start + rows)
+        u_sw, mu[block], q[block], b[block] = _conditionals(stats, prior, xs[block])
+        if density:
+            # -1/2 sum log d_k = 1/2 sum log(u_k sw_k) - 1/2 sum log(w_k sw_k)
+            half_log_usw[block] = 0.5 * np.log(u_sw, out=u_sw).sum(axis=1)
+    if not density:
+        return None, mu, q, b
+    logp = (half_log_usw + (0.5 * stats.w_k_tot + prior.alpha1) * xs
+            - 0.5 * np.log(q) - (_kappa(stats, prior) + 1.5) * np.log(b))
+    return logp, mu, q, b
+
+
+# Both x searches (the MAP and the collapsed grid) run within |x| <= 700,
+# where exp(x) neither over- nor underflows.  They start from the offsets
+# 0, +-1, +-3, ..., +-2047 around a first guess, which span that range from
+# any start, densest near it.
+_LOG_R_MAX = 700.0
+_GRID_OFFSETS = tuple(sorted({s * (2.0 ** j - 1.0) for j in range(12) for s in (-1, 1)}))
+_GRID_SIZE = 257      # points per refinement of the collapsed grid
+_GRID_DROP = 40.0     # the grid covers log p(x) down to this far below its maximum
+_GRID_ROUNDS = 60     # a round at least halves the grid's span, so this is ample
+_BLOCK_ENTRIES = 2 ** 14  # (x, cluster) entries per block of _collapsed
+
+
+def _search_grid(x0: float) -> np.ndarray:
+    x0 = min(max(x0, -_LOG_R_MAX), _LOG_R_MAX)
+    return np.array([-_LOG_R_MAX, *(x0 + off for off in _GRID_OFFSETS
+                                    if abs(x0 + off) < _LOG_R_MAX), _LOG_R_MAX])
+
+
+def _x_grid(stats: _SuffStats, prior: PriorConfig):
+    """Grid over x on which the collapsed density is drawn and integrated.
+
+    The first pass scores the search offsets around the moment-based ratio;
+    each later pass lays 257 points evenly over the span of the previous
+    pass's points within 40 of its best, plus one point beyond on each
+    side, until that span covers at least half of a pass's points.
+    Returns (x, log p(x) with maximum 0, mu*, Q, B) on that span.  Raises PosteriorError when
+    log p has not fallen 40 below its maximum at |x| = 700, when
+    kappa + 3/2 <= 1/2, where E[sigma_eps] is infinite, or when
+    W/2 + alpha1 <= 1, where E[sigma_a] and E|b0| are: p(x) exp(-x/2)
+    grows like exp((W/2 + alpha1 - 1) x) as x -> -inf.
+    """
+    shape = _kappa(stats, prior) + 1.5
+    if shape <= 0.5:
+        raise PosteriorError(f"tau_eps | x has Gamma shape kappa + 3/2 = {shape:.6g} <= 1/2, "
+                             "so sigma_eps has no finite posterior mean")
+    if 0.5 * stats.w_k_tot + prior.alpha1 <= 1.0:
+        raise PosteriorError(f"W/2 + alpha1 = {0.5 * stats.w_k_tot + prior.alpha1:.6g} <= 1, "
+                             "so sigma_a and b0 have no finite posterior mean")
+    _, ta0, te0 = _auto_init(stats)
+    xs = _search_grid(math.log(ta0 / te0))
+    for round_ in range(_GRID_ROUNDS):
+        lp, mu, q, b = _collapsed(stats, prior, xs)
+        top = float(np.max(lp))
+        if not math.isfinite(top):
+            raise PosteriorError(f"integrated log density in log(tau_a/tau_eps) reaches {top}")
+        above = np.flatnonzero(lp >= top - _GRID_DROP)
+        lo, hi = above[0] - 1, above[-1] + 1
+        if round_ == 0 and (lo < 0 or hi == len(xs)):
+            raise PosteriorError(
+                f"integrated density in log(tau_a/tau_eps) has not fallen {_GRID_DROP:g} "
+                f"below its maximum at |log(tau_a/tau_eps)| = {_LOG_R_MAX:g}")
+        lo, hi = max(lo, 0), min(hi, len(xs) - 1)
+        if hi - lo >= _GRID_SIZE // 2:
+            keep = slice(lo, hi + 1)
+            return xs[keep], lp[keep] - top, mu[keep], q[keep], b[keep]
+        xs = np.linspace(xs[lo], xs[hi], _GRID_SIZE)
+    raise PosteriorError("the grid in log(tau_a/tau_eps) did not resolve the density")
+
+
+def _interval_masses(xs: np.ndarray, lp: np.ndarray):
+    """Mass of each grid interval under exp of the linear interpolant of lp,
+    with the interval widths h and rises z.  lp is floored at twice the grid
+    drop; only the two end intervals reach there, and they hold under e^-40
+    of the mass."""
+    lp = np.maximum(lp, -2.0 * _GRID_DROP)
+    h, z = np.diff(xs), np.diff(lp)
+    flat = z == 0.0
+    zs = np.where(flat, 1.0, z)
+    return np.exp(lp[:-1]) * h * np.where(flat, 1.0, np.expm1(zs) / zs), h, zs, flat
+
+
+def _draw_x(xs: np.ndarray, lp: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the piecewise log-linear density on the grid at u."""
+    mass, h, z, flat = _interval_masses(xs, lp)
+    cdf = np.cumsum(mass)
+    v = u * cdf[-1]
+    i = np.minimum(np.searchsorted(cdf, v, side="right"), len(mass) - 1)
+    f = np.clip(1.0 - (cdf[i] - v) / mass[i], 0.0, 1.0)
+    # within an interval the CDF is expm1(z t/h)/expm1(z); solve it for t
+    t = np.where(flat[i], f, np.log1p(f * np.expm1(z[i])) / z[i])
+    return xs[i] + h[i] * np.clip(t, 0.0, 1.0)
+
+
+def posterior_means(sample, weights, prior: PriorConfig) -> dict:
+    """Posterior means of b0, sigma_a and sigma_eps under the integrated
+    pseudo-posterior, by quadrature over the grid ``run_integrated_mcmc``
+    draws x from; deterministic.
+
+    Given x, E[mu] = mu*, E[sigma_eps] = sqrt(B) Gamma(s - 1/2)/Gamma(s) with
+    s = kappa + 3/2, and E[sigma_a] = exp(-x/2) E[sigma_eps]; each is
+    averaged over the grid intervals, weighted by their masses.
+    """
+    stats = _suffstats(sample, weights)
+    xs, lp, mu, _, b = _x_grid(stats, prior)
+    mass = _interval_masses(xs, lp)[0]
+    shape = _kappa(stats, prior) + 1.5
+    sigma_eps = np.sqrt(b) * math.exp(math.lgamma(shape - 0.5) - math.lgamma(shape))
+    given_x = {"b0": mu, "sigma_a": np.exp(-0.5 * xs) * sigma_eps, "sigma_eps": sigma_eps}
+    means = {p: float(mass @ (0.5 * (v[:-1] + v[1:]))) / float(mass.sum())
+             for p, v in given_x.items()}
+    means["b0"] += stats.center
+    return means
+
+
 # ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
@@ -414,10 +582,8 @@ def _auto_init(stats: _SuffStats) -> tuple[float, float, float]:
     """Moment-based start: weighted mean, inverse weighted within-cluster
     residual variance, inverse variance of cluster means (floored at 1e-4)."""
     mu0 = stats.swy_tot / stats.sw_tot
-    ybar = stats.swy / stats.sw
-    wss = float(np.sum(stats.swyy - stats.sw * ybar ** 2))
-    var_eps = max(wss / stats.sw_tot, 1e-8)
-    var_a = max(float(np.var(ybar)), 1e-4)
+    var_eps = max(stats.wss / stats.sw_tot, 1e-8)
+    var_a = max(float(np.var(stats.ybar)), 1e-4)
     return mu0, 1.0 / var_a, 1.0 / var_eps
 
 
@@ -483,77 +649,35 @@ def run_gibbs(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsM
 
 
 def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:
-    """Adaptive random-walk Metropolis on x = (mu, log tau_a, log tau_eps).
+    """Independent draws from the integrated pseudo-posterior through its
+    collapse to x = log(tau_a/tau_eps).
 
-    The target is the integrated log posterior plus the log-Jacobian
-    log tau_a + log tau_eps of the log transforms.  Per-coordinate proposal
-    scales track the running chain standard deviations and a global scale
-    adapts toward 0.234 acceptance; adaptation freezes after burn-in, over
-    which the acceptance rate is recorded.
+    x is drawn by inverse CDF from the piecewise log-linear interpolant of
+    log p(x) on the grid of ``_x_grid``, then tau_eps | x ~ Gamma and
+    mu | x, tau_eps ~ Normal exactly, at each draw's own x.  The draws are
+    i.i.d., so nothing is burnt in: one is made per kept iteration of
+    ``chain``, every draw counts as accepted (``acceptance_rate`` 1.0), and
+    ``chain.init`` is validated but not used.  Raises PosteriorError where
+    ``_x_grid`` does.
     """
     stats = _suffstats(sample, weights)
-    rng = substream(chain.seed)
-    mu0, ta0, te0 = _resolve_init(chain.init, stats)
-    # state, proposal scales and running moments, one float per coordinate
-    x0, x1, x2 = mu0, math.log(ta0), math.log(te0)
-    lp = _integrated_logpost_x(x0, x1, x2, stats, prior) + x1 + x2
-    if not math.isfinite(lp):
-        raise ChainDivergenceError(0, "non-finite log posterior at initialization")
-
-    sd0 = max(1.0 / math.sqrt(te0 * stats.sw_tot), 1e-3)
-    sd1 = max(math.sqrt(2.0 / stats.m), 1e-3)
-    sd2 = max(math.sqrt(2.0 / stats.n_k.sum()), 1e-3)
-    log_scale = math.log(2.38 / math.sqrt(3.0))
-    mean0, mean1, mean2 = x0, x1, x2
-    m2_0 = m2_1 = m2_2 = 0.0
-    accepted = proposals = 0
-
+    _resolve_init(chain.init, stats)
+    xs, lp, *_ = _x_grid(stats, prior)
     its = np.arange(chain.n_burnin, chain.n_iterations, chain.thin)
-    kept = np.empty((len(its), 3))
-    for it in range(chain.n_iterations):
-        adapting = it < chain.n_burnin
-        scale = math.exp(log_scale)
-        z0, z1, z2 = rng.standard_normal(3).tolist()
-        p0, p1, p2 = x0 + scale * sd0 * z0, x1 + scale * sd1 * z1, x2 + scale * sd2 * z2
-        lp_prop = _integrated_logpost_x(p0, p1, p2, stats, prior) + p1 + p2
-        if math.isnan(lp_prop):
-            raise ChainDivergenceError(it, f"NaN log posterior at iteration {it}")
-        alpha = min(1.0, math.exp(min(0.0, lp_prop - lp)))
-        accept = rng.uniform() < alpha
-        if accept:
-            x0, x1, x2, lp = p0, p1, p2, lp_prop
-        if adapting:
-            log_scale += (it + 1) ** -0.6 * (alpha - 0.234)
-            log_scale = min(max(log_scale, -10.0), 5.0)
-            d0, d1, d2 = x0 - mean0, x1 - mean1, x2 - mean2
-            mean0 += d0 / (it + 1)
-            mean1 += d1 / (it + 1)
-            mean2 += d2 / (it + 1)
-            m2_0 += d0 * (x0 - mean0)
-            m2_1 += d1 * (x1 - mean1)
-            m2_2 += d2 * (x2 - mean2)
-            if it >= 200:
-                sd0 = max(math.sqrt(m2_0 / it), 1e-6)
-                sd1 = max(math.sqrt(m2_1 / it), 1e-6)
-                sd2 = max(math.sqrt(m2_2 / it), 1e-6)
-        else:
-            proposals += 1
-            accepted += int(accept)
-        if it >= chain.n_burnin and (it - chain.n_burnin) % chain.thin == 0:
-            kept[(it - chain.n_burnin) // chain.thin] = x0, math.exp(x1), math.exp(x2)
-
-    mus, tas, tes = kept.T.copy()
-    return DrawsMatrix(mu=mus + stats.center, tau_a=tas, tau_eps=tes, a=None,
-                       acceptance_rate=accepted / max(proposals, 1), iterations=its)
+    rng = substream(chain.seed)
+    x = _draw_x(xs, lp, rng.uniform(size=len(its)))
+    gam = rng.standard_gamma(_kappa(stats, prior) + 1.5, size=len(its))
+    z = rng.standard_normal(len(its))
+    _, mu, q, b = _collapsed(stats, prior, x, density=False)
+    tau_eps = gam / b
+    mu += z / np.sqrt(tau_eps * q) + stats.center
+    tau_a = np.exp(x) * tau_eps
+    if not (np.isfinite(mu).all() and np.isfinite(tau_a).all() and (tau_eps > 0).all()):
+        raise PosteriorError("non-finite draw from the collapsed posterior")
+    return DrawsMatrix(mu=mu, tau_a=tau_a, tau_eps=tau_eps, a=None, acceptance_rate=1.0,
+                       iterations=its)
 
 
-# The MAP search runs over log r, r = tau_a/tau_eps, within +-700, where
-# exp(log r) neither over- nor underflows; for any tau_eps* inside
-# exp(+-100) the |log tau| guard cuts in first.  Grid offsets from the
-# start are 0, +-1, +-3, ..., +-2047, so the grid spans that range from any
-# start, densest near it.
-_LOG_R_MAX = 700.0
-_GRID_OFFSETS = tuple(sorted({s * (2.0 ** j - 1.0) for j in range(12) for s in (-1, 1)}))
 _LOG_R_TOL = 1e-12  # above the spacing of doubles up to 1024, so bisection ends
 
 
@@ -562,23 +686,19 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
     """Mode of the integrated log posterior, by a profile search in log r,
     r = tau_a/tau_eps.
 
-    For fixed r, with d_k = sw_k + r w_k and u_k = w_k/d_k, the posterior
-    is maximized in closed form by mu* = sum u_k swy_k / sum u_k sw_k (a
-    weighted mean of the cluster means ybar_k) and tau_eps* =
-    kappa/(E/2 + beta1 r + beta2), tau_a* = r tau_eps*, where
-    E = WSS + r sum u_k sw_k (ybar_k - mu*)^2 is the weighted residual sum
-    of squares at mu*, WSS its within-cluster part and
-    kappa = (S + W - m)/2 + alpha1 + alpha2 - 2.  Only log r is searched:
-    a grid around the ratio of ``init``, each point scored with the one
-    integrated log posterior, then bisection between the neighbours of the
-    best grid point on the sign of the profile's slope in log r,
+    For fixed r the posterior is maximized in closed form by mu* (a
+    weighted mean of the cluster means ybar_k), tau_eps* = kappa/B and
+    tau_a* = r tau_eps*, with mu*, B and kappa those of the collapse above
+    (``_conditionals``).  Only log r is searched: the search offsets around
+    the ratio of ``init``, each point scored with the one integrated log
+    posterior, then bisection between the neighbours of the best grid point
+    on the sign of the profile's slope in log r,
     (W - m + sum s_k)/2 + alpha1 - 1 - kappa r (sum u_k sw_k s_k
-    (ybar_k - mu*)^2/2 + beta1)/B with s_k = sw_k/d_k, B = E/2 + beta1 r +
-    beta2.  A root of the slope is placed to rounding, where comparing
-    values near a flat maximum places it to the square root of rounding.
-    The bisection stops at the edge of ``|log tau| <= 600`` if the slope
-    points out of it; its end points replace the best grid point only if
-    they score higher.
+    (ybar_k - mu*)^2/2 + beta1)/B with s_k = sw_k/d_k.  A root of the slope
+    is placed to rounding, where comparing values near a flat maximum
+    places it to the square root of rounding.  The bisection stops at the
+    edge of ``|log tau| <= 600`` if the slope points out of it; its end
+    points replace the best grid point only if they score higher.
 
     Returns ``(theta, loglik, converged)``: the best state found, the
     integrated log-likelihood there, and whether it is an interior mode.
@@ -592,23 +712,17 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
     mu0, ta0, te0 = _resolve_init(init, stats)
     best = (mu0, math.log(ta0), math.log(te0))
     best_value = _integrated_logpost_x(*best, stats, prior)
-    kappa = 0.5 * (stats.sw_tot + stats.w_k_tot - stats.m) + prior.alpha1 + prior.alpha2 - 2.0
+    kappa = _kappa(stats, prior)
     converged = False
     if kappa > 0:
-        ybar = stats.swy / stats.sw
-        wss = float(np.sum(stats.swyy - stats.swy * ybar))
-        sw_over_w = stats.sw / stats.w_k
-
         def profile(x: float) -> tuple[float, float, float]:
             """(mu*, log tau_eps*, slope of the profile log posterior) at log r = x."""
-            r = math.exp(x)
-            u_sw = stats.sw / (sw_over_w + r)
+            u_sw, mu, _, b = _conditionals(stats, prior, np.array([x]))
+            u_sw, mu, b = u_sw[0], float(mu[0]), float(b[0])
             s_k = u_sw / stats.w_k
-            mu = float(u_sw @ ybar) / float(u_sw.sum())
-            dev2 = (ybar - mu) ** 2
-            b = 0.5 * (wss + r * float(u_sw @ dev2)) + prior.beta1 * r + prior.beta2
+            dev2 = (stats.ybar - mu) ** 2
             slope = (0.5 * (stats.w_k_tot - stats.m + float(s_k.sum())) + prior.alpha1 - 1.0
-                     - kappa * r * (0.5 * float((u_sw * s_k) @ dev2) + prior.beta1) / b)
+                     - kappa * math.exp(x) * (0.5 * float((u_sw * s_k) @ dev2) + prior.beta1) / b)
             return mu, math.log(kappa) - math.log(b), slope
 
         def score(x: float) -> float:
@@ -620,8 +734,7 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
             return value
 
         x0 = best[1] - best[2]
-        grid = [-_LOG_R_MAX, *(x0 + off for off in _GRID_OFFSETS if abs(x0 + off) < _LOG_R_MAX),
-                _LOG_R_MAX]
+        grid = _search_grid(x0).tolist()
         values = [score(x) for x in grid]
         i = max(range(len(grid)), key=values.__getitem__)
         if 0 < i < len(grid) - 1 and math.isfinite(values[i]):

@@ -68,6 +68,32 @@ CASES = [pytest.param({"seed": s}, id=str(s)) for s in range(20)] + [
     for s in range(4)]
 
 
+def geyer_ess(x) -> float:
+    """Effective sample size by Geyer's initial monotone sequence estimator
+    (Geyer 1992, Stat. Sci. 7:473): tau = -1 + 2 sum_k Gamma_k with
+    Gamma_k = rho_2k + rho_2k+1, summed before the first non-positive
+    Gamma_k and each lowered to the minimum of those before it; ESS = n/tau.
+    A constant chain gets 0."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 4 or not np.isfinite(x).all():
+        raise ValueError("ESS needs at least 4 finite draws")
+    if np.ptp(x) == 0.0:
+        return 0.0
+    xc = x - x.mean()
+    f = np.fft.rfft(xc, 2 * n)
+    acov = np.fft.irfft(f * np.conj(f), 2 * n)[:n]
+    pairs = (acov / acov[0])[: 2 * (n // 2)].reshape(-1, 2).sum(axis=1)
+    nonpos = np.flatnonzero(pairs <= 0.0)
+    pairs = pairs[: nonpos[0]] if nonpos.size else pairs
+    return n / (-1.0 + 2.0 * float(np.minimum.accumulate(pairs).sum()))
+
+
+def mcse(x) -> float:
+    """Monte Carlo standard error of the mean of a chain: sd/sqrt(ESS)."""
+    return float(np.std(x, ddof=1)) / math.sqrt(geyer_ess(x))
+
+
 def cluster_logintegrand(y, w_jk, w_k, mu, tau_a, tau_eps):
     """Log of one cluster's weighted augmented integrand as a function of a."""
 

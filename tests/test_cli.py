@@ -159,6 +159,16 @@ class TestEstimate:
                      "--method", "map"]) == 2
         assert "line 2: pi_l_given_h must be in (0, 1]" in capsys.readouterr().err
 
+    def test_repeated_unit_rejected(self, sample_csv, capsys):
+        with open(sample_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(sample_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows + [rows[1]] * 3)
+        assert main(["estimate", "--data", str(sample_csv), "--weights-mode", "double",
+                     "--method", "map"]) == 2
+        err = capsys.readouterr().err
+        assert f"DesignError: sample CSV lines 2 and {len(rows) + 1}" in err
+
     def test_bad_data_path_errors(self):
         assert main(["estimate", "--data", "/nonexistent.csv", "--weights-mode",
                      "equal", "--method", "map"]) == 2

@@ -369,12 +369,32 @@ class TestSampleCsv:
         ("y", "abc"), ("y", "nan"), ("y", "-inf"), ("y", ""),
         ("pi_h", "0"), ("pi_h", "1.5"), ("pi_h", "nan"),
         ("pi_l_given_h", "-0.5"), ("pi_l_given_h", "0.0"), ("pi_l_given_h", "1.0000001"),
-        ("cluster_id", "x"),
+        ("cluster_id", "x"), ("unit_id", "1.5"),
     ])
     def test_invalid_value_names_column_and_line(self, sample_csv, column, value):
         self._set_cells(sample_csv, column, {4: value})
         with pytest.raises(DesignError, match=f"line 4: {column} must be"):
             sample_from_csv(sample_csv)
+
+    def test_repeated_unit_names_both_lines(self, sample_csv):
+        # the first data row appended three times would load as three more units
+        with open(sample_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(sample_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows + [rows[1]] * 3)
+        message = (f"lines 2 and {len(rows) + 1}: unit {rows[1][1]} of cluster {rows[1][0]} "
+                   "appears twice")
+        with pytest.raises(DesignError, match=message):
+            sample_from_csv(sample_csv)
+
+    def test_same_unit_id_in_two_clusters_allowed(self, sample_csv):
+        with open(sample_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        clusters = sorted({row[0] for row in rows[1:]})
+        first_of = {c: next(row for row in rows[1:] if row[0] == c) for c in clusters[:2]}
+        self._set_cells(sample_csv, "unit_id",
+                        {rows.index(first_of[c]) + 1: "999999" for c in clusters[:2]})
+        assert sample_from_csv(sample_csv).n_total == len(rows) - 1
 
     def test_out_of_range_probabilities_in_one_cluster_rejected(self, sample_csv):
         # 1.5 and -0.5 keep the cluster's sum, so nothing downstream notices

@@ -88,9 +88,19 @@ class TestRunScenario:
         scen = _scenario(R=1, estimators=ESTIMATORS, iters=400, burn=150)
         rep = run_scenario(scen)
         assert not rep.failures[0]
-        acc = rep.diagnostics[0]["double_integrated"]["acceptance_rate"]
-        assert 0.0 < acc < 1.0
+        # the collapsed route keeps every independent draw
+        assert rep.diagnostics[0]["double_integrated"]["acceptance_rate"] == 1.0
         assert rep.diagnostics[0]["double_map"]["converged"] in (True, False)
+
+    def test_improper_integrated_posterior_is_a_nan_row_with_message(self):
+        # one sampled cluster under normalized weights: W/2 + alpha1 = 0.6, so
+        # sigma_a has no finite posterior mean
+        rep = run_scenario(_scenario(m=1, R=1, estimators=("double_gibbs",
+                                                           "double_integrated")))
+        assert rep.failures[0]["double_integrated"].startswith("PosteriorError: W/2 + alpha1")
+        assert all(math.isnan(rep.estimates[("double_integrated", p)][0])
+                   for p in ("b0", "sigma_a", "sigma_eps"))
+        assert "double_gibbs" not in rep.failures[0]
 
 
 class TestQuantileAggregation:
@@ -193,7 +203,7 @@ class TestEmitPlotData:
             assert diag["double_gibbs"]["converged"] is True
             assert diag["double_integrated"]["acceptance_rate"] == \
                 rep.diagnostics[r]["double_integrated"]["acceptance_rate"]
-            assert 0.0 < diag["double_integrated"]["acceptance_rate"] < 1.0
+            assert diag["double_integrated"]["acceptance_rate"] == 1.0
             assert diag["double_map"]["converged"] in (True, False)
             assert math.isfinite(diag["double_map"]["loglik"])
 

@@ -9,7 +9,7 @@ from .design import (ClusterDesign, SampleDraw, TwoStageDesign, UnitDesign,
 from .diagnostics import (BalanceReport, BoundsReport, InformativenessSummary,
                           bounds_report, informativeness_summary,
                           weighted_re_average, weighted_residual_balance)
-from .errors import ChainDivergenceError, ConfigError, DesignError, PosteriorError
+from .errors import ConfigError, DesignError, PosteriorError
 from .harness import (ReplicationReport, Scenario, emit_plot_data,
                       load_scenarios, run_grid, run_scenario)
 from .inference import (ChainConfig, DrawsMatrix, ParamState, PriorConfig,
@@ -22,7 +22,7 @@ from .popgen import Population, PopulationConfig, generate_population
 
 __all__ = [
     "__version__",
-    "ChainConfig", "ChainDivergenceError", "ClusterDesign", "ConfigError",
+    "ChainConfig", "ClusterDesign", "ConfigError",
     "DesignError", "DrawsMatrix", "ParamState", "Population",
     "PopulationConfig", "PosteriorError", "PriorConfig", "ReplicationReport", "SampleDraw",
     "Scenario", "TwoStageDesign", "UnitDesign", "WeightMode", "WeightSet",

@@ -58,13 +58,15 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--weights-mode", required=True,
                      choices=[m.value for m in WeightMode])
     est.add_argument("--method", required=True, choices=["gibbs", "integrated", "map"],
-                     help="gibbs: Gibbs chain over the augmented state; integrated: "
+                     help="gibbs: independent exact draws of the augmented state, "
+                          "cluster effects included (not a Gibbs scan); integrated: "
                           "independent draws from the effect-marginalized posterior "
                           "through its collapse to log(tau_a/tau_eps); map: its mode")
     est.add_argument("--seed", type=int, default=0,
                      help="seed of gibbs and integrated draws; map does not draw")
     est.add_argument("--iterations", type=int, default=4000,
-                     help="chain length; integrated makes iterations - burnin draws")
+                     help="chain length; gibbs and integrated make iterations - burnin "
+                          "independent draws")
     est.add_argument("--burnin", type=int, default=2000)
     est.add_argument("--out", default=None, help="write the summary JSON here too")
     return parser

@@ -2,10 +2,12 @@
 
 Three routes share one pseudo-posterior target:
 
-* a Gibbs sampler over the augmented state (mu, tau_a, tau_eps, a_1..a_m)
-  whose full conditionals are conjugate because the unit likelihood is
-  exponentiated by the marginal weight ``w_jk`` and the random-effect
-  prior by the cluster weight ``w_k``;
+* independent draws of the augmented state (mu, tau_a, tau_eps, a_1..a_m),
+  in which the unit likelihood is exponentiated by the marginal weight
+  ``w_jk`` and the random-effect prior by the cluster weight ``w_k``: its
+  (mu, tau_a, tau_eps) marginal is the integrated posterior below, drawn
+  exactly, and each cluster effect is then drawn from its conjugate Normal
+  full conditional;
 * independent draws from the likelihood with every cluster effect
   marginalized out analytically, through its exact collapse to one
   dimension: x = log(tau_a/tau_eps) has a closed-form density, and given x,
@@ -14,24 +16,22 @@ Three routes share one pseudo-posterior target:
   maximizing mu and tau_eps are in closed form.
 
 Every density is computed once, from the per-cluster weighted sums in
-``_SuffStats`` and their totals, taken once per chain.  The sums are of y
+``_SuffStats`` and their totals, taken once per fit.  The sums are of y
 centred at its weighted mean, so that a large mean costs no digits; every
 route works in the centred mu and adds the centre back to its results.
-The public ``fc_*`` functions are views of the conditionals ``run_gibbs``
-draws from; the collapsed draws, their quadrature means and the MAP search
+The public ``fc_*`` functions are views of the full conditionals
+(``_cond_*``), of which ``run_gibbs`` draws the cluster effects from
+``_cond_a``; the collapsed draws, their quadrature means and the MAP search
 share one per-ratio algebra (``_conditionals``); the MAP is scored with the
 one integrated log posterior on (mu, log tau_a, log tau_eps).  The per-unit
 ``augmented_logpseudo*`` densities are the independent reference the tests
 check those closed forms against.
 
-Per iteration the Gibbs kernel does only the vector work it needs: a sweep
-draws the m cluster effects and reduces them to four dot products, from
-which the mu, tau_a and tau_eps conditionals follow over the totals.  Each
-Gibbs chain draws ``standard_normal(m)``, ``standard_normal()`` and two
-``gamma`` per sweep; the collapsed route draws all its ``uniform`` values
-(x by inverse CDF), then all ``standard_gamma`` (tau_eps), then all
-``standard_normal`` (mu), one per kept draw.  A change to these calls
-changes the random streams.
+Both drawing routes take (x, tau_eps, mu) from ``_draw_collapsed``, which
+draws all its ``uniform`` values (x by inverse CDF), then all
+``standard_gamma`` (tau_eps), then all ``standard_normal`` (mu), one per
+kept draw; ``run_gibbs`` first draws ``standard_normal((n_draws, m))`` for
+the cluster effects.  A change to these calls changes the random streams.
 
 Precisions ``tau`` are carried internally; reported scales are
 ``sigma = tau**-0.5`` applied per draw.
@@ -39,7 +39,6 @@ Precisions ``tau`` are carried internally; reported scales are
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,12 +47,9 @@ from numbers import Real
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ChainDivergenceError, ConfigError, PosteriorError
+from .errors import ConfigError, PosteriorError
 from .rng import substream
 
-log = logging.getLogger(__name__)
-
-_TAU_MIN, _TAU_MAX = 1e-12, 1e12
 _LOG_TAU_MAX = 600.0  # |log tau| beyond which the integrated posterior is -inf
 PARAM_NAMES = ("b0", "sigma_a", "sigma_eps")
 
@@ -185,24 +181,21 @@ class DrawsMatrix:
 class _SuffStats:
     """Per-cluster weighted sums of the centred response y - center and
     their totals; everything the three routes consume.  Built once per
-    chain."""
+    fit."""
 
     w_k: np.ndarray    # cluster weights
     sw: np.ndarray     # sum_j w_jk
     swy: np.ndarray    # sum_j w_jk (y_jk - center)
-    swyy: np.ndarray   # sum_j w_jk (y_jk - center)^2
     n_k: np.ndarray    # realized units per cluster
     center: float = 0.0  # weighted mean of y
     wss: float = 0.0     # sum_jk w_jk (y_jk - ybar_k)^2, summed per unit
     sw_tot: float = field(init=False)
     swy_tot: float = field(init=False)
-    swyy_tot: float = field(init=False)
     w_k_tot: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sw_tot", float(self.sw.sum()))
         object.__setattr__(self, "swy_tot", float(self.swy.sum()))
-        object.__setattr__(self, "swyy_tot", float(self.swyy.sum()))
         object.__setattr__(self, "w_k_tot", float(self.w_k.sum()))
 
     @property
@@ -223,42 +216,35 @@ def _suffstats(sample, weights) -> _SuffStats:
     sw, swy = np.add.reduceat(w, starts), np.add.reduceat(wy, starts)
     within = y - np.repeat(swy / sw, sample.n_k)
     return _SuffStats(w_k=np.asarray(weights.w_k, dtype=float), sw=sw, swy=swy,
-                      swyy=np.add.reduceat(wy * y, starts), n_k=sample.n_k, center=center,
-                      wss=float(w @ (within * within)))
+                      n_k=sample.n_k, center=center, wss=float(w @ (within * within)))
 
 
 # ---------------------------------------------------------------------------
 # Full conditional pseudo-posterior distributions (augmented model)
 # ---------------------------------------------------------------------------
-# The _cond_* functions are what run_gibbs draws from; the public fc_* are
-# views of them for one sample.  The conditionals of mu, tau_a and tau_eps
-# see the cluster effects only through the four sums of _effect_sums.
+# The _cond_* functions are the conditionals of the augmented model; the
+# public fc_* are views of them for one sample, and run_gibbs draws the
+# cluster effects from _cond_a.
 
-def _cond_a(stats: _SuffStats, mu: float, tau_a: float, tau_eps: float):
+def _cond_a(stats: _SuffStats, mu, tau_a, tau_eps):
+    """(h_k, phi_k); mu, tau_a and tau_eps may be columns of draws."""
     phi = tau_eps * stats.sw + tau_a * stats.w_k
     return tau_eps * (stats.swy - mu * stats.sw) / phi, phi
 
 
-def _effect_sums(stats: _SuffStats, a: np.ndarray) -> tuple[float, float, float, float]:
-    """(sum a_k sw_k, sum a_k swy_k, sum a_k^2 w_k, sum a_k^2 sw_k)."""
-    aa = a * a
-    return (float(a @ stats.sw), float(a @ stats.swy),
-            float(aa @ stats.w_k), float(aa @ stats.sw))
+def _cond_mu(stats: _SuffStats, a: np.ndarray, tau_eps: float):
+    return (stats.swy_tot - float(a @ stats.sw)) / stats.sw_tot, tau_eps * stats.sw_tot
 
 
-def _cond_mu(stats: _SuffStats, a_sw: float, tau_eps: float):
-    return (stats.swy_tot - a_sw) / stats.sw_tot, tau_eps * stats.sw_tot
+def _cond_tau_a(stats: _SuffStats, a: np.ndarray, prior: PriorConfig):
+    return 0.5 * stats.w_k_tot + prior.alpha1, 0.5 * float((a * a) @ stats.w_k) + prior.beta1
 
 
-def _cond_tau_a(stats: _SuffStats, aa_wk: float, prior: PriorConfig):
-    return 0.5 * stats.w_k_tot + prior.alpha1, 0.5 * aa_wk + prior.beta1
-
-
-def _cond_tau_eps(stats: _SuffStats, mu: float, a_sw: float, a_swy: float, aa_sw: float,
-                  prior: PriorConfig):
-    # sum_jk w_jk (y_jk - mu - a_k)^2, expanded over the totals
-    ssr = (stats.swyy_tot - 2.0 * (mu * stats.swy_tot + a_swy)
-           + mu * mu * stats.sw_tot + 2.0 * mu * a_sw + aa_sw)
+def _cond_tau_eps(stats: _SuffStats, mu: float, a: np.ndarray, prior: PriorConfig):
+    # sum_jk w_jk (y_jk - mu - a_k)^2 = WSS + sum_k sw_k (ybar_k - mu - a_k)^2:
+    # a sum of non-negative parts, so no digits cancel
+    dev = stats.ybar - mu - a
+    ssr = stats.wss + float(stats.sw @ (dev * dev))
     return 0.5 * stats.sw_tot + prior.alpha2, 0.5 * ssr + prior.beta2
 
 
@@ -279,8 +265,7 @@ def fc_mu(a: np.ndarray, tau_eps: float, sample, weights):
     mean = sum w_jk (y_jk - a_k) / sum w_jk, precision = tau_eps * sum w_jk.
     """
     stats = _suffstats(sample, weights)
-    a_sw = _effect_sums(stats, np.asarray(a, dtype=float))[0]
-    mean, prec = _cond_mu(stats, a_sw, tau_eps)
+    mean, prec = _cond_mu(stats, np.asarray(a, dtype=float), tau_eps)
     return mean + stats.center, prec
 
 
@@ -292,16 +277,14 @@ def fc_tau_a(a: np.ndarray, w_k: np.ndarray, prior: PriorConfig):
     """
     w_k = np.asarray(w_k, dtype=float)
     zeros = np.zeros_like(w_k)
-    stats = _SuffStats(w_k, zeros, zeros, zeros, zeros)
-    aa_wk = _effect_sums(stats, np.asarray(a, dtype=float))[2]
-    return _cond_tau_a(stats, aa_wk, prior)
+    stats = _SuffStats(w_k, zeros, zeros, zeros)
+    return _cond_tau_a(stats, np.asarray(a, dtype=float), prior)
 
 
 def fc_tau_eps(mu: float, a: np.ndarray, sample, weights, prior: PriorConfig):
     """Inverse-gamma full conditional for tau_eps^-1: returns (shape, scale)."""
     stats = _suffstats(sample, weights)
-    a_sw, a_swy, _, aa_sw = _effect_sums(stats, np.asarray(a, dtype=float))
-    return _cond_tau_eps(stats, mu - stats.center, a_sw, a_swy, aa_sw, prior)
+    return _cond_tau_eps(stats, mu - stats.center, np.asarray(a, dtype=float), prior)
 
 
 # ---------------------------------------------------------------------------
@@ -596,86 +579,72 @@ def _resolve_init(init: ParamState | str, stats: _SuffStats) -> tuple[float, flo
     raise ConfigError(f"unknown chain init: {init!r}")
 
 
-def _clamp_tau(tau: float, what: str, it: int, warned: set) -> float:
-    if not math.isfinite(tau):
-        raise ChainDivergenceError(it, f"{what} non-finite at iteration {it}")
-    if tau < _TAU_MIN or tau > _TAU_MAX:
-        if what not in warned:
-            log.warning("%s clamped to [%g, %g] at iteration %d", what, _TAU_MIN, _TAU_MAX, it)
-            warned.add(what)
-        return min(max(tau, _TAU_MIN), _TAU_MAX)
-    return tau
+def _draw_collapsed(stats: _SuffStats, prior: PriorConfig, rng, n: int):
+    """n independent draws of (mu - center, tau_a, tau_eps) from the
+    integrated pseudo-posterior.
+
+    x is drawn by inverse CDF from the piecewise log-linear interpolant of
+    log p(x) on the grid of ``_x_grid``, then tau_eps | x ~ Gamma and
+    mu | x, tau_eps ~ Normal exactly, at each draw's own x.  Raises
+    PosteriorError where ``_x_grid`` does.
+    """
+    xs, lp, *_ = _x_grid(stats, prior)
+    x = _draw_x(xs, lp, rng.uniform(size=n))
+    gam = rng.standard_gamma(_kappa(stats, prior) + 1.5, size=n)
+    z = rng.standard_normal(n)
+    _, mu, q, b = _collapsed(stats, prior, x, density=False)
+    tau_eps = gam / b
+    mu += z / np.sqrt(tau_eps * q)
+    tau_a = np.exp(x) * tau_eps
+    if not (np.isfinite(mu).all() and np.isfinite(tau_a).all() and (tau_eps > 0).all()):
+        raise PosteriorError("non-finite draw from the collapsed posterior")
+    return mu, tau_a, tau_eps
 
 
 def run_gibbs(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:
-    """Gibbs scan over (a_1..a_m | ...), (mu | ...), (tau_a | ...), (tau_eps | ...).
+    """Independent exact draws of the augmented state (mu, tau_a, tau_eps,
+    a_1..a_m); not a Gibbs scan, though it targets the same pseudo-posterior.
 
-    Each update draws from the same conditional the public ``fc_*``
-    function returns.  Deterministic given ``chain.seed``; raises
-    ChainDivergenceError (with the iteration index) on a non-finite state.
+    (mu, tau_a, tau_eps) is drawn as in ``run_integrated_mcmc``, since the
+    augmented posterior's marginal is the integrated one; then each
+    a_k | mu, tau_a, tau_eps ~ N(h_k, 1/phi_k), the full conditional
+    ``fc_a_k`` returns.  The standard normals of the effects are drawn
+    first, into the returned (n_draws, m) array, so that the (mu, tau_a,
+    tau_eps) draws differ from ``run_integrated_mcmc``'s at the same seed.
+    One draw is made per kept iteration of ``chain`` and nothing is burnt
+    in; ``chain.init`` is validated but not used.  Deterministic given
+    ``chain.seed``; raises PosteriorError where ``_x_grid`` does.
     """
     stats = _suffstats(sample, weights)
-    rng = substream(chain.seed)
-    mu, tau_a, tau_eps = _resolve_init(chain.init, stats)
-    warned: set = set()
-
+    _resolve_init(chain.init, stats)
     its = np.arange(chain.n_burnin, chain.n_iterations, chain.thin)
-    kept = np.empty((len(its), 3))
-    a_kept = np.empty((len(its), stats.m))
-    for it in range(chain.n_iterations):
-        h, phi = _cond_a(stats, mu, tau_a, tau_eps)
-        a = h + rng.standard_normal(stats.m) / np.sqrt(phi)
-        a_sw, a_swy, aa_wk, aa_sw = _effect_sums(stats, a)
-
-        mean_mu, prec_mu = _cond_mu(stats, a_sw, tau_eps)
-        mu = mean_mu + rng.standard_normal() / math.sqrt(prec_mu)
-
-        shape1, scale1 = _cond_tau_a(stats, aa_wk, prior)
-        tau_a = _clamp_tau(rng.gamma(shape1, 1.0 / scale1), "tau_a", it, warned)
-
-        shape2, scale2 = _cond_tau_eps(stats, mu, a_sw, a_swy, aa_sw, prior)
-        tau_eps = _clamp_tau(rng.gamma(shape2, 1.0 / scale2), "tau_eps", it, warned)
-
-        # every sw_k > 0, so a non-finite a_k makes a_sw non-finite
-        if not (math.isfinite(mu) and math.isfinite(a_sw)):
-            raise ChainDivergenceError(it)
-        if it >= chain.n_burnin and (it - chain.n_burnin) % chain.thin == 0:
-            i = (it - chain.n_burnin) // chain.thin
-            kept[i] = mu, tau_a, tau_eps
-            a_kept[i] = a
-
-    mus, tas, tes = kept.T.copy()
-    return DrawsMatrix(mu=mus + stats.center, tau_a=tas, tau_eps=tes, a=a_kept, iterations=its)
+    rng = substream(chain.seed)
+    a = rng.standard_normal((len(its), stats.m))
+    mu, tau_a, tau_eps = _draw_collapsed(stats, prior, rng, len(its))
+    rows = max(1, _BLOCK_ENTRIES // stats.m)
+    for start in range(0, len(its), rows):
+        block = slice(start, start + rows)
+        h, phi = _cond_a(stats, mu[block, None], tau_a[block, None], tau_eps[block, None])
+        a[block] /= np.sqrt(phi, out=phi)
+        a[block] += h
+    return DrawsMatrix(mu=mu + stats.center, tau_a=tau_a, tau_eps=tau_eps, a=a, iterations=its)
 
 
 def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:
     """Independent draws from the integrated pseudo-posterior through its
-    collapse to x = log(tau_a/tau_eps).
+    collapse to x = log(tau_a/tau_eps) (``_draw_collapsed``).
 
-    x is drawn by inverse CDF from the piecewise log-linear interpolant of
-    log p(x) on the grid of ``_x_grid``, then tau_eps | x ~ Gamma and
-    mu | x, tau_eps ~ Normal exactly, at each draw's own x.  The draws are
-    i.i.d., so nothing is burnt in: one is made per kept iteration of
-    ``chain``, every draw counts as accepted (``acceptance_rate`` 1.0), and
-    ``chain.init`` is validated but not used.  Raises PosteriorError where
-    ``_x_grid`` does.
+    The draws are i.i.d., so nothing is burnt in: one is made per kept
+    iteration of ``chain``, every draw counts as accepted
+    (``acceptance_rate`` 1.0), and ``chain.init`` is validated but not
+    used.  Raises PosteriorError where ``_x_grid`` does.
     """
     stats = _suffstats(sample, weights)
     _resolve_init(chain.init, stats)
-    xs, lp, *_ = _x_grid(stats, prior)
     its = np.arange(chain.n_burnin, chain.n_iterations, chain.thin)
-    rng = substream(chain.seed)
-    x = _draw_x(xs, lp, rng.uniform(size=len(its)))
-    gam = rng.standard_gamma(_kappa(stats, prior) + 1.5, size=len(its))
-    z = rng.standard_normal(len(its))
-    _, mu, q, b = _collapsed(stats, prior, x, density=False)
-    tau_eps = gam / b
-    mu += z / np.sqrt(tau_eps * q) + stats.center
-    tau_a = np.exp(x) * tau_eps
-    if not (np.isfinite(mu).all() and np.isfinite(tau_a).all() and (tau_eps > 0).all()):
-        raise PosteriorError("non-finite draw from the collapsed posterior")
-    return DrawsMatrix(mu=mu, tau_a=tau_a, tau_eps=tau_eps, a=None, acceptance_rate=1.0,
-                       iterations=its)
+    mu, tau_a, tau_eps = _draw_collapsed(stats, prior, substream(chain.seed), len(its))
+    return DrawsMatrix(mu=mu + stats.center, tau_a=tau_a, tau_eps=tau_eps, a=None,
+                       acceptance_rate=1.0, iterations=its)
 
 
 _LOG_R_TOL = 1e-12  # above the spacing of doubles up to 1024, so bisection ends

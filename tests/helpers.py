@@ -13,8 +13,10 @@ import pytest
 from scipy.integrate import quad
 
 from svyanova.design import SampleDraw, WeightMode, WeightSet
-from svyanova.inference import ParamState, PriorConfig
+from svyanova.inference import (DrawsMatrix, ParamState, PriorConfig, _auto_init, _cond_a,
+                                _cond_mu, _cond_tau_a, _cond_tau_eps, _suffstats)
 from svyanova.popgen import cluster_offsets
+from svyanova.rng import substream
 
 
 def make_instance(seed: int, m_max: int = 5, nk_max: int = 4, w_range=(1.0, 5.0),
@@ -92,6 +94,32 @@ def geyer_ess(x) -> float:
 def mcse(x) -> float:
     """Monte Carlo standard error of the mean of a chain: sd/sqrt(ESS)."""
     return float(np.std(x, ddof=1)) / math.sqrt(geyer_ess(x))
+
+
+def reference_scan(sample, weights, prior: PriorConfig, chain) -> DrawsMatrix:
+    """Centred Gibbs scan over (a_1..a_m | ...), (mu | ...), (tau_a | ...),
+    (tau_eps | ...) from the moment-based start, each update drawn from the
+    full conditional that the ``fc_*`` views return.  It shares no code with
+    the collapsed draws, so it checks them independently; it mixes slowly
+    where the weights span decades."""
+    stats = _suffstats(sample, weights)
+    rng = substream(chain.seed)
+    mu, tau_a, tau_eps = _auto_init(stats)
+    its = np.arange(chain.n_burnin, chain.n_iterations, chain.thin)
+    kept = np.empty((len(its), 3))
+    for it in range(chain.n_iterations):
+        h, phi = _cond_a(stats, mu, tau_a, tau_eps)
+        a = h + rng.standard_normal(stats.m) / np.sqrt(phi)
+        mean, prec = _cond_mu(stats, a, tau_eps)
+        mu = mean + rng.standard_normal() / math.sqrt(prec)
+        shape, rate = _cond_tau_a(stats, a, prior)
+        tau_a = rng.gamma(shape, 1.0 / rate)
+        shape, rate = _cond_tau_eps(stats, mu, a, prior)
+        tau_eps = rng.gamma(shape, 1.0 / rate)
+        if it >= chain.n_burnin and (it - chain.n_burnin) % chain.thin == 0:
+            kept[(it - chain.n_burnin) // chain.thin] = mu, tau_a, tau_eps
+    mus, tas, tes = kept.T.copy()
+    return DrawsMatrix(mu=mus + stats.center, tau_a=tas, tau_eps=tes, iterations=its)
 
 
 def cluster_logintegrand(y, w_jk, w_k, mu, tau_a, tau_eps):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,6 +111,32 @@ class TestPrecisionConditionals:
         shape, scale = fc_tau_eps(2.0, np.zeros(1), sample, weights, prior)
         assert shape == pytest.approx(prior.alpha2 + 0.5 * 12)
         assert scale == pytest.approx(prior.beta2 + 0.5 * np.sum((y - 2.0) ** 2))
+
+
+class TestTauEpsCancellationFree:
+    """The tau_eps scale is WSS plus per-cluster squares of ybar_k - mu - a_k,
+    so moving y and mu by c, and y and a_k by a cluster offset d_k, leaves it
+    at its per-unit value: a math.fsum over w_jk (y_jk - mu - a_k)^2.
+    Expanding the squares over totals would lose about 5e-10 relative at
+    offsets of 1e3."""
+
+    @staticmethod
+    def _fsum_scale(sample, weights, mu, a, prior):
+        terms = [float(weights.w_marg[j]) * (float(sample.y[j]) - mu - float(a[k])) ** 2
+                 for k in range(sample.m) for j in range(sample.offsets[k], sample.offsets[k + 1])]
+        return 0.5 * math.fsum(terms) + prior.beta2
+
+    @pytest.mark.parametrize("spread", [0.0, 1e3])
+    @pytest.mark.parametrize("c", [-37.5, 1e3, 1e6])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_fsum_reference(self, case, c, spread):
+        sample, weights, state, prior = make_instance(**case)
+        d = np.random.default_rng(case["seed"]).normal(0.0, spread, size=sample.m)
+        moved = replace(sample, y=sample.y + c + np.repeat(d, sample.n_k))
+        mu, a = state.mu + c, state.a + d
+        _, scale = fc_tau_eps(mu, a, moved, weights, prior)
+        assert scale == pytest.approx(self._fsum_scale(moved, weights, mu, a, prior),
+                                      rel=1e-12, abs=0)
 
 
 class TestConjugacyAgainstJoint:

@@ -94,13 +94,14 @@ class TestRunScenario:
 
     def test_improper_integrated_posterior_is_a_nan_row_with_message(self):
         # one sampled cluster under normalized weights: W/2 + alpha1 = 0.6, so
-        # sigma_a has no finite posterior mean
+        # sigma_a has no finite posterior mean, under the integrated posterior
+        # and under the augmented one whose marginal it is
         rep = run_scenario(_scenario(m=1, R=1, estimators=("double_gibbs",
                                                            "double_integrated")))
-        assert rep.failures[0]["double_integrated"].startswith("PosteriorError: W/2 + alpha1")
-        assert all(math.isnan(rep.estimates[("double_integrated", p)][0])
-                   for p in ("b0", "sigma_a", "sigma_eps"))
-        assert "double_gibbs" not in rep.failures[0]
+        for est in ("double_gibbs", "double_integrated"):
+            assert rep.failures[0][est].startswith("PosteriorError: W/2 + alpha1")
+            assert all(math.isnan(rep.estimates[(est, p)][0])
+                       for p in ("b0", "sigma_a", "sigma_eps"))
 
 
 class TestQuantileAggregation:

@@ -13,7 +13,7 @@ from svyanova.inference import (ChainConfig, ParamState, PriorConfig, integrated
                                 run_integrated_mcmc)
 
 from helpers import (CASES, cluster_logintegrand, make_instance, mcse,
-                     quad_cluster_logintegral, single_cluster_instance)
+                     quad_cluster_logintegral, reference_scan, single_cluster_instance)
 
 PARAMS = ("b0", "sigma_a", "sigma_eps")
 LOG_WEIGHT_CASES = [c for c in CASES if c.values[0].get("log_weights")]
@@ -140,17 +140,18 @@ class TestCancellationFree:
             assert moved == pytest.approx(base, rel=1e-12, abs=0)
 
 
-# Known Gibbs defects the oracle exposes; the collapsed draws pass on every case.
-_GIBBS_SLOW = {
-    "weights-1e-2-1e3-0": "Gibbs mixes too slowly in mu under weights spanning 1e-2..1e3 "
+# Known defects of the reference scan the oracle exposes; the collapsed draws
+# pass on every case.
+_SCAN_SLOW = {
+    "weights-1e-2-1e3-0": "the scan mixes too slowly in mu under weights spanning 1e-2..1e3 "
                           "(b0 ESS about 11 in 2e5 sweeps)",
-    "weights-1e-2-1e3-3": "Gibbs mixes too slowly in mu under weights spanning 1e-2..1e3 "
+    "weights-1e-2-1e3-3": "the scan mixes too slowly in mu under weights spanning 1e-2..1e3 "
                           "(b0 ESS about 27 in 2e5 sweeps)",
 }
 
 
 class TestCollapsedOracle:
-    """posterior_means is the deterministic reference both samplers are
+    """posterior_means is the deterministic reference the samplers are
     checked against, within 4 Monte Carlo standard errors (sd/sqrt(ESS),
     Geyer ESS).  Every CASES posterior has finite second moments:
     kappa + 3/2 > 1, W/2 + alpha1 > 3/2 and S/2 + alpha2 > 3/2."""
@@ -171,15 +172,43 @@ class TestCollapsedOracle:
                                     replace(self.CHAIN, seed=case["seed"]))
         self._check(draws, posterior_means(sample, weights, prior))
 
-    @pytest.mark.parametrize("case", [
-        pytest.param(*c.values, id=c.id,
-                     marks=[pytest.mark.xfail(reason=_GIBBS_SLOW[c.id], strict=True)]
-                     if c.id in _GIBBS_SLOW else [])
-        for c in CASES])
+    @pytest.mark.parametrize("case", CASES)
     def test_gibbs_matches(self, case):
         sample, weights, _, prior = make_instance(**case)
         draws = run_gibbs(sample, weights, prior, replace(self.CHAIN, seed=case["seed"]))
         self._check(draws, posterior_means(sample, weights, prior))
+
+    @pytest.mark.parametrize("case", [
+        pytest.param(*c.values, id=c.id,
+                     marks=[pytest.mark.xfail(reason=_SCAN_SLOW[c.id], strict=True)]
+                     if c.id in _SCAN_SLOW else [])
+        for c in CASES])
+    def test_reference_scan_matches(self, case):
+        # the scan draws from the conditionals criterion 02 checks and shares
+        # no code with the collapse, so this checks posterior_means (and
+        # through it both samplers) independently
+        sample, weights, _, prior = make_instance(**case)
+        draws = reference_scan(sample, weights, prior, replace(self.CHAIN, seed=case["seed"]))
+        self._check(draws, posterior_means(sample, weights, prior))
+
+    @pytest.mark.parametrize("case", [CASES[i] for i in (0, 7, 21, 25, 29)])
+    def test_gibbs_effects_follow_their_conditional(self, case):
+        # (a_ik - h_k(theta_i)) sqrt(phi_k(theta_i)), with h_k and phi_k
+        # written out from the uncentred data, is N(0, 1) pooled over draws
+        # and clusters
+        from scipy.stats import kstest
+
+        sample, weights, _, prior = make_instance(**case)
+        draws = run_gibbs(sample, weights, prior, ChainConfig(n_iterations=3000, n_burnin=1000,
+                                                               seed=case["seed"]))
+        w, starts = weights.w_marg, sample.offsets[:-1]
+        sw = np.add.reduceat(w, starts)
+        swy = np.add.reduceat(w * sample.y, starts)
+        mu, tau_a, tau_eps = draws.mu[:, None], draws.tau_a[:, None], draws.tau_eps[:, None]
+        phi = tau_eps * sw + tau_a * weights.w_k
+        h = tau_eps * (swy - mu * sw) / phi
+        z = ((draws.a - h) * np.sqrt(phi)).ravel()
+        assert kstest(z, "norm").pvalue > 1e-3
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_one_cluster_normalized_is_explicit_error(self, n):

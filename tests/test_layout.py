@@ -94,11 +94,18 @@ def test_suffstats_match_per_unit_sums(spec):
     np.testing.assert_array_equal(stats.n_k, sample.n_k)
     for k, (lo, hi) in enumerate(zip(sample.offsets[:-1], sample.offsets[1:])):
         for got, terms in ((stats.sw[k], [w[j] for j in range(lo, hi)]),
-                           (stats.swy[k], [w[j] * (y[j] - stats.center) for j in range(lo, hi)]),
-                           (stats.swyy[k],
-                            [w[j] * (y[j] - stats.center) ** 2 for j in range(lo, hi)])):
+                           (stats.swy[k], [w[j] * (y[j] - stats.center) for j in range(lo, hi)])):
             scale = math.fsum(abs(t) for t in terms)
             assert abs(got - math.fsum(terms)) <= 1e-12 * scale
+    # the within-cluster sum of squares, per unit about each cluster mean
+    yc = [v - stats.center for v in y]
+    within, total = [], []
+    for lo, hi in zip(sample.offsets[:-1], sample.offsets[1:]):
+        units = range(lo, hi)
+        ybar = math.fsum(w[j] * yc[j] for j in units) / math.fsum(w[j] for j in units)
+        within += [w[j] * (yc[j] - ybar) ** 2 for j in units]
+        total += [w[j] * yc[j] ** 2 for j in units]
+    assert abs(stats.wss - math.fsum(within)) <= 1e-12 * math.fsum(total)
 
 
 @_with_examples

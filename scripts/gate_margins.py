@@ -45,13 +45,13 @@ def margins(criterion: int, base_seed: int) -> dict:
             seen[label] = (relation, value - bound,
                            acceptance._RELATIONS[relation](value, bound))
 
-    acceptance.BASE_SEED, report = base_seed, acceptance._report
-    acceptance._report = record
+    saved = acceptance.BASE_SEED, acceptance._report
+    acceptance.BASE_SEED, acceptance._report = base_seed, record
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             CRITERIA[criterion]()
     finally:
-        acceptance._report = report
+        acceptance.BASE_SEED, acceptance._report = saved
     return seen
 
 

@@ -64,10 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "through its collapse to log(tau_a/tau_eps); map: its mode")
     est.add_argument("--seed", type=int, default=0,
                      help="seed of gibbs and integrated draws; map does not draw")
-    est.add_argument("--iterations", type=int, default=4000,
-                     help="chain length; gibbs and integrated make iterations - burnin "
-                          "independent draws")
-    est.add_argument("--burnin", type=int, default=2000)
+    est.add_argument("--draws", type=int, default=2000,
+                     help="number of independent gibbs or integrated draws")
     est.add_argument("--out", default=None, help="write the summary JSON here too")
     return parser
 
@@ -127,8 +125,7 @@ def _cmd_estimate(args) -> int:
         theta, loglik, converged = map_estimate(sample, weights, priors)
         summary = map_summary(theta, loglik, converged, mode=args.weights_mode)
     else:
-        chain = ChainConfig(n_iterations=args.iterations, n_burnin=args.burnin,
-                            seed=args.seed)
+        chain = ChainConfig(n_draws=args.draws, seed=args.seed)
         runner = run_integrated_mcmc if args.method == "integrated" else run_gibbs
         draws = runner(sample, weights, priors, chain)
         summary = draws.summary(mode=args.weights_mode)

@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from numbers import Real
 
 import numpy as np
 import yaml
@@ -23,9 +24,9 @@ from . import __version__
 from .csvio import write_csv
 from .design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                      build_weights, draw_two_stage_sample)
-from .errors import ConfigError
-from .inference import (ChainConfig, ParamState, PriorConfig, PARAM_NAMES, map_estimate,
-                        run_gibbs, run_integrated_mcmc)
+from .errors import ConfigError, require_int
+from .inference import (ChainConfig, PriorConfig, PARAM_NAMES, map_estimate, run_gibbs,
+                        run_integrated_mcmc)
 from .popgen import PopulationConfig, generate_population
 from .rng import derive_seed
 
@@ -52,7 +53,7 @@ _SECTION_KEYS = ("M", "N_h", "mu0", "sigma_a0", "sigma_eps0", "cluster", "unit",
 _GRID_KEYS = _SECTION_KEYS + ("R",)
 _DESK_KEYS = ("M", "m", "R")
 # No chain seed: every chain seed is derived per replicate from base_seed.
-_CHAIN_KEYS = ("n_iterations", "n_burnin", "thin", "init")
+_CHAIN_KEYS = ("n_draws",)
 _PRIOR_KEYS = ("alpha1", "beta1", "alpha2", "beta2")
 
 
@@ -134,8 +135,7 @@ def _run_replicate(scenario: Scenario, r: int) -> tuple[int, dict, dict, dict]:
         weights = weight_sets[_MODE_OF[est]]
         try:
             if est == "double_map":
-                theta, loglik, converged = map_estimate(
-                    sample, weights, scenario.priors, init=scenario.chain.init)
+                theta, loglik, converged = map_estimate(sample, weights, scenario.priors)
                 point = {"b0": theta.mu, "sigma_a": theta.sigma_a,
                          "sigma_eps": theta.sigma_eps}
                 diags[est] = {"converged": converged, "loglik": loglik,
@@ -258,7 +258,6 @@ def report_to_json(report: ReplicationReport) -> dict:
     it), quantiles, per-replicate estimator diagnostics (acceptance rate,
     MAP convergence and log-likelihood) and failures."""
     scen = report.scenario
-    chain, init = scen.chain, scen.chain.init
     return {
         "scenario_id": scen.scenario_id,
         "scenario": {
@@ -276,10 +275,7 @@ def report_to_json(report: ReplicationReport) -> dict:
             "estimators": list(scen.estimators),
             "normalize_weights": scen.normalize_weights,
             # the chain seed is derived per replicate from base_seed
-            "chain": {"n_iterations": chain.n_iterations, "n_burnin": chain.n_burnin,
-                      "thin": chain.thin,
-                      "init": ({"mu": init.mu, "tau_a": init.tau_a, "tau_eps": init.tau_eps}
-                               if isinstance(init, ParamState) else init)},
+            "chain": {"n_draws": scen.chain.n_draws},
             "priors": asdict(scen.priors),
             "svyanova_version": __version__,
             "numpy_version": np.__version__,
@@ -321,8 +317,10 @@ def _expand_grid(grid) -> list[dict]:
     return points
 
 
-def _desk_scale(value: int, factor: int) -> int:
-    return max(1, int(value) // max(1, int(factor)))
+def _real(value, key: str) -> float:
+    if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def load_scenarios(path, desk: bool = False, base_seed: int | None = None) -> list[Scenario]:
@@ -333,10 +331,12 @@ def load_scenarios(path, desk: bool = False, base_seed: int | None = None) -> li
     cross product is taken).  With ``desk=True`` the integer divisors under
     the ``desk`` key are applied to M, m, and R.  An unknown key raises
     ConfigError naming the key and where it was found; so do ``chain.seed``
-    (chain seeds come from ``base_seed``) and a ``chain.init`` other than
-    ``auto``, and a section (``population``, ``design``, ``chain``,
-    ``priors``, ``desk``, a grid point or the grid axes) that is empty or
-    not a mapping.
+    (chain seeds come from ``base_seed``), a section (``population``,
+    ``design``, ``chain``, ``priors``, ``desk``, a grid point or the grid
+    axes) that is empty or not a mapping, and a value of the wrong type:
+    a count or seed that is not an integer, a number that is not finite, a
+    ``normalize_weights`` that is not a boolean or ``estimators`` that is
+    not a list of names.
     """
     with open(path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
@@ -350,36 +350,42 @@ def load_scenarios(path, desk: bool = False, base_seed: int | None = None) -> li
     if isinstance(chain_cfg, dict) and "seed" in chain_cfg:
         raise ConfigError("chain.seed is not read: every chain seed is derived per "
                           "replicate from base_seed; set base_seed or pass --seed")
-    chain_cfg = _mapping(chain_cfg, _CHAIN_KEYS, "chain")
-    if chain_cfg.get("init", "auto") != "auto":
-        raise ConfigError(f"chain.init must be 'auto' in a scenario file, "
-                          f"got {chain_cfg['init']!r}")
-    chain = ChainConfig(**chain_cfg)
+    chain = ChainConfig(**_mapping(chain_cfg, _CHAIN_KEYS, "chain"))
     priors = PriorConfig(**_mapping(cfg.get("priors", {}), _PRIOR_KEYS, "priors"))
-    estimators = tuple(cfg.get("estimators", list(ESTIMATORS)))
-    seed = int(base_seed if base_seed is not None else cfg.get("base_seed", 0))
-    R = int(cfg.get("R", 1))
-    desk_factors = _mapping(cfg.get("desk", {}), _DESK_KEYS, "desk")  # read only with desk=True
+    estimators = cfg.get("estimators", list(ESTIMATORS))
+    if not (isinstance(estimators, list) and all(isinstance(e, str) for e in estimators)):
+        raise ConfigError(f"estimators must be a list of estimator names, got {estimators!r}")
+    seed = require_int(base_seed if base_seed is not None else cfg.get("base_seed", 0),
+                       "base_seed", 0)
+    normalize = cfg.get("normalize_weights", True)
+    if not isinstance(normalize, bool):
+        raise ConfigError(f"normalize_weights must be true or false, got {normalize!r}")
+    # read only with desk=True, but checked always
+    desk_factors = {key: require_int(value, f"desk.{key}", 1) for key, value in
+                    _mapping(cfg.get("desk", {}), _DESK_KEYS, "desk").items()}
 
     scenarios = []
     for idx, point in enumerate(_expand_grid(cfg.get("grid"))):
-        merged = {**pop, **base_design, "R": R, **point}
-        M = _desk_scale(merged["M"], desk_factors.get("M", 1)) if desk else int(merged["M"])
-        m = _desk_scale(merged["m"], desk_factors.get("m", 1)) if desk else int(merged["m"])
-        R_eff = _desk_scale(merged["R"], desk_factors.get("R", 1)) if desk else int(merged["R"])
+        merged = {**pop, **base_design, "R": cfg.get("R", 1), **point}
+        M, m, R = (require_int(merged[key], key, 1) for key in ("M", "m", "R"))
+        if desk:
+            M, m, R = (max(1, n // desk_factors.get(key, 1))
+                       for key, n in (("M", M), ("m", m), ("R", R)))
+        N_h = merged.get("N_h", 40)
         population = PopulationConfig(
-            M=M, N_h=merged.get("N_h", 40), mu0=float(merged.get("mu0", 1.0)),
-            sigma_a0=float(merged.get("sigma_a0", 2.0)),
-            sigma_eps0=float(merged.get("sigma_eps0", 3.0)), seed=0)
+            M=M, N_h=([require_int(n, "N_h", 1) for n in N_h] if isinstance(N_h, list)
+                      else require_int(N_h, "N_h", 1)),
+            mu0=_real(merged.get("mu0", 1.0), "mu0"),
+            sigma_a0=_real(merged.get("sigma_a0", 2.0), "sigma_a0"),
+            sigma_eps0=_real(merged.get("sigma_eps0", 3.0), "sigma_eps0"), seed=0)
         design = TwoStageDesign(
             cluster_kind=ClusterDesign(merged.get("cluster", "srs")),
             unit_kind=UnitDesign(merged.get("unit", "srs")),
-            m=m, n_k=int(merged.get("n_k", 5)), seed=0)
+            m=m, n_k=require_int(merged.get("n_k", 5), "n_k", 1), seed=0)
         sid = (f"{name}-{idx:03d}-M{M}-m{m}-nk{design.n_k}"
                f"-c_{design.cluster_kind.value}-u_{design.unit_kind.value}")
         scenarios.append(Scenario(
             scenario_id=sid, population=population, design=design,
-            estimators=estimators, R=R_eff, base_seed=seed, chain=chain,
-            priors=priors,
-            normalize_weights=bool(cfg.get("normalize_weights", True))))
+            estimators=tuple(estimators), R=R, base_seed=seed, chain=chain,
+            priors=priors, normalize_weights=normalize))
     return scenarios

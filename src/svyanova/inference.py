@@ -47,7 +47,7 @@ from numbers import Real
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ConfigError, PosteriorError
+from .errors import ConfigError, PosteriorError, require_int
 from .rng import substream
 
 _LOG_TAU_MAX = 600.0  # |log tau| beyond which the integrated posterior is -inf
@@ -70,7 +70,8 @@ class PriorConfig:
     def __post_init__(self):
         for key in ("alpha1", "beta1", "alpha2", "beta2"):
             value = getattr(self, key)
-            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)
+                                               and value > 0):
                 raise ConfigError(f"prior hyperparameter {key} must be finite and "
                                   f"positive, got {value!r}")
 
@@ -97,29 +98,31 @@ class ParamState:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    n_iterations: int = 4000
-    n_burnin: int = 2000
-    thin: int = 1
+    """How many independent draws a sampler makes, and from which seed."""
+
+    n_draws: int = 2000
     seed: int = 0
-    init: ParamState | str = "auto"
 
     def __post_init__(self):
-        if not 0 <= self.n_burnin < self.n_iterations:
-            raise ConfigError("need 0 <= n_burnin < n_iterations")
-        if self.thin < 1:
-            raise ConfigError("thin must be >= 1")
+        require_int(self.n_draws, "n_draws", 1)
+
+    @property
+    def n_iterations(self) -> int:
+        """n_draws; kept only because the benchmark's span counters
+        (svybench/workloads.py) read it.  Goes with the next change to the
+        benchmark."""
+        return self.n_draws
 
 
 @dataclass(frozen=True)
 class DrawsMatrix:
-    """Post-burn-in, thinned chain states with summary accessors."""
+    """Independent posterior draws with summary accessors."""
 
     mu: np.ndarray
     tau_a: np.ndarray
     tau_eps: np.ndarray
     a: np.ndarray | None = None          # (n_draws, m) for augmented chains
     acceptance_rate: float | None = None
-    iterations: np.ndarray | None = None
 
     @property
     def n_draws(self) -> int:
@@ -155,13 +158,12 @@ class DrawsMatrix:
         return {p: self.mean(p) for p in PARAM_NAMES}
 
     def to_csv(self, path, include_effects: bool = False) -> None:
-        header = ["iteration", "mu", "sigma_a", "sigma_eps"]
+        header = ["draw", "mu", "sigma_a", "sigma_eps"]
         n_eff = self.a.shape[1] if (include_effects and self.a is not None) else 0
         header += [f"a_{k + 1}" for k in range(n_eff)]
-        its = self.iterations if self.iterations is not None else np.arange(self.n_draws)
         sigma_a, sigma_eps = self.sigma_a, self.sigma_eps
         write_csv(path, header,
-                  ([int(its[i]), self.mu[i], sigma_a[i], sigma_eps[i],
+                  ([i, self.mu[i], sigma_a[i], sigma_eps[i],
                     *(self.a[i][:n_eff] if n_eff else ())] for i in range(self.n_draws)))
 
     def summary(self, mode: str = "", converged: bool = True) -> dict:
@@ -570,15 +572,6 @@ def _auto_init(stats: _SuffStats) -> tuple[float, float, float]:
     return mu0, 1.0 / var_a, 1.0 / var_eps
 
 
-def _resolve_init(init: ParamState | str, stats: _SuffStats) -> tuple[float, float, float]:
-    """Starting (mu - center, tau_a, tau_eps)."""
-    if isinstance(init, ParamState):
-        return init.mu - stats.center, init.tau_a, init.tau_eps
-    if init == "auto":
-        return _auto_init(stats)
-    raise ConfigError(f"unknown chain init: {init!r}")
-
-
 def _draw_collapsed(stats: _SuffStats, prior: PriorConfig, rng, n: int):
     """n independent draws of (mu - center, tau_a, tau_eps) from the
     integrated pseudo-posterior.
@@ -611,47 +604,40 @@ def run_gibbs(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsM
     ``fc_a_k`` returns.  The standard normals of the effects are drawn
     first, into the returned (n_draws, m) array, so that the (mu, tau_a,
     tau_eps) draws differ from ``run_integrated_mcmc``'s at the same seed.
-    One draw is made per kept iteration of ``chain`` and nothing is burnt
-    in; ``chain.init`` is validated but not used.  Deterministic given
-    ``chain.seed``; raises PosteriorError where ``_x_grid`` does.
+    Makes ``chain.n_draws`` draws; deterministic given ``chain.seed``;
+    raises PosteriorError where ``_x_grid`` does.
     """
     stats = _suffstats(sample, weights)
-    _resolve_init(chain.init, stats)
-    its = np.arange(chain.n_burnin, chain.n_iterations, chain.thin)
     rng = substream(chain.seed)
-    a = rng.standard_normal((len(its), stats.m))
-    mu, tau_a, tau_eps = _draw_collapsed(stats, prior, rng, len(its))
+    a = rng.standard_normal((chain.n_draws, stats.m))
+    mu, tau_a, tau_eps = _draw_collapsed(stats, prior, rng, chain.n_draws)
     rows = max(1, _BLOCK_ENTRIES // stats.m)
-    for start in range(0, len(its), rows):
+    for start in range(0, chain.n_draws, rows):
         block = slice(start, start + rows)
         h, phi = _cond_a(stats, mu[block, None], tau_a[block, None], tau_eps[block, None])
         a[block] /= np.sqrt(phi, out=phi)
         a[block] += h
-    return DrawsMatrix(mu=mu + stats.center, tau_a=tau_a, tau_eps=tau_eps, a=a, iterations=its)
+    return DrawsMatrix(mu=mu + stats.center, tau_a=tau_a, tau_eps=tau_eps, a=a)
 
 
 def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:
     """Independent draws from the integrated pseudo-posterior through its
     collapse to x = log(tau_a/tau_eps) (``_draw_collapsed``).
 
-    The draws are i.i.d., so nothing is burnt in: one is made per kept
-    iteration of ``chain``, every draw counts as accepted
-    (``acceptance_rate`` 1.0), and ``chain.init`` is validated but not
-    used.  Raises PosteriorError where ``_x_grid`` does.
+    Makes ``chain.n_draws`` i.i.d. draws, each counted as accepted
+    (``acceptance_rate`` 1.0).  Raises PosteriorError where ``_x_grid``
+    does.
     """
     stats = _suffstats(sample, weights)
-    _resolve_init(chain.init, stats)
-    its = np.arange(chain.n_burnin, chain.n_iterations, chain.thin)
-    mu, tau_a, tau_eps = _draw_collapsed(stats, prior, substream(chain.seed), len(its))
+    mu, tau_a, tau_eps = _draw_collapsed(stats, prior, substream(chain.seed), chain.n_draws)
     return DrawsMatrix(mu=mu + stats.center, tau_a=tau_a, tau_eps=tau_eps, a=None,
-                       acceptance_rate=1.0, iterations=its)
+                       acceptance_rate=1.0)
 
 
 _LOG_R_TOL = 1e-12  # above the spacing of doubles up to 1024, so bisection ends
 
 
-def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "auto",
-                 seed: int = 0):
+def map_estimate(sample, weights, prior: PriorConfig, seed: int = 0):
     """Mode of the integrated log posterior, by a profile search in log r,
     r = tau_a/tau_eps.
 
@@ -659,9 +645,9 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
     weighted mean of the cluster means ybar_k), tau_eps* = kappa/B and
     tau_a* = r tau_eps*, with mu*, B and kappa those of the collapse above
     (``_conditionals``).  Only log r is searched: the search offsets around
-    the ratio of ``init``, each point scored with the one integrated log
-    posterior, then bisection between the neighbours of the best grid point
-    on the sign of the profile's slope in log r,
+    the moment-based ratio of ``_auto_init``, each point scored with the
+    one integrated log posterior, then bisection between the neighbours of
+    the best grid point on the sign of the profile's slope in log r,
     (W - m + sum s_k)/2 + alpha1 - 1 - kappa r (sum u_k sw_k s_k
     (ybar_k - mu*)^2/2 + beta1)/B with s_k = sw_k/d_k.  A root of the slope
     is placed to rounding, where comparing values near a flat maximum
@@ -674,11 +660,11 @@ def map_estimate(sample, weights, prior: PriorConfig, init: ParamState | str = "
     ``converged`` is False when the maximum lies on the edge of the
     searched range (``|log tau| <= 600``), and theta is that edge point;
     it is also False when kappa <= 0, where tau_eps has no mode, and theta
-    is the start.  Neither case raises.  ``seed`` is accepted for
-    compatibility and does not affect the result.
+    is the moment-based start.  Neither case raises.  ``seed`` is accepted
+    for compatibility and does not affect the result.
     """
     stats = _suffstats(sample, weights)
-    mu0, ta0, te0 = _resolve_init(init, stats)
+    mu0, ta0, te0 = _auto_init(stats)
     best = (mu0, math.log(ta0), math.log(te0))
     best_value = _integrated_logpost_x(*best, stats, prior)
     kappa = _kappa(stats, prior)

@@ -96,18 +96,19 @@ def mcse(x) -> float:
     return float(np.std(x, ddof=1)) / math.sqrt(geyer_ess(x))
 
 
-def reference_scan(sample, weights, prior: PriorConfig, chain) -> DrawsMatrix:
+def reference_scan(sample, weights, prior: PriorConfig, n_sweeps: int, n_burnin: int,
+                   seed: int) -> DrawsMatrix:
     """Centred Gibbs scan over (a_1..a_m | ...), (mu | ...), (tau_a | ...),
     (tau_eps | ...) from the moment-based start, each update drawn from the
-    full conditional that the ``fc_*`` views return.  It shares no code with
-    the collapsed draws, so it checks them independently; it mixes slowly
-    where the weights span decades."""
+    full conditional that the ``fc_*`` views return; the states after the
+    first ``n_burnin`` of ``n_sweeps`` sweeps are kept.  It shares no code
+    with the collapsed draws, so it checks them independently; it mixes
+    slowly where the weights span decades."""
     stats = _suffstats(sample, weights)
-    rng = substream(chain.seed)
+    rng = substream(seed)
     mu, tau_a, tau_eps = _auto_init(stats)
-    its = np.arange(chain.n_burnin, chain.n_iterations, chain.thin)
-    kept = np.empty((len(its), 3))
-    for it in range(chain.n_iterations):
+    kept = np.empty((n_sweeps - n_burnin, 3))
+    for it in range(n_sweeps):
         h, phi = _cond_a(stats, mu, tau_a, tau_eps)
         a = h + rng.standard_normal(stats.m) / np.sqrt(phi)
         mean, prec = _cond_mu(stats, a, tau_eps)
@@ -116,10 +117,10 @@ def reference_scan(sample, weights, prior: PriorConfig, chain) -> DrawsMatrix:
         tau_a = rng.gamma(shape, 1.0 / rate)
         shape, rate = _cond_tau_eps(stats, mu, a, prior)
         tau_eps = rng.gamma(shape, 1.0 / rate)
-        if it >= chain.n_burnin and (it - chain.n_burnin) % chain.thin == 0:
-            kept[(it - chain.n_burnin) // chain.thin] = mu, tau_a, tau_eps
+        if it >= n_burnin:
+            kept[it - n_burnin] = mu, tau_a, tau_eps
     mus, tas, tes = kept.T.copy()
-    return DrawsMatrix(mu=mus + stats.center, tau_a=tas, tau_eps=tes, iterations=its)
+    return DrawsMatrix(mu=mus + stats.center, tau_a=tas, tau_eps=tes)
 
 
 def cluster_logintegrand(y, w_jk, w_k, mu, tau_a, tau_eps):

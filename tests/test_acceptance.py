@@ -157,7 +157,7 @@ def test_criterion_04_gibbs_integrated_agreement():
                             seed=BASE_SEED + 1)
     sample = draw_two_stage_sample(pop, design)
     weights = build_weights(sample, WeightMode.DOUBLE)
-    chain = ChainConfig(n_iterations=4000, n_burnin=2000, seed=BASE_SEED + 2)
+    chain = ChainConfig(n_draws=2000, seed=BASE_SEED + 2)
     g = run_gibbs(sample, weights, PriorConfig(), chain)
     i = run_integrated_mcmc(sample, weights, PriorConfig(), chain)
     diffs = {p: abs(g.mean(p) - i.mean(p)) for p in PARAMS}
@@ -266,7 +266,7 @@ def test_criterion_09_determinism(tmp_path):
                               UnitDesign.SYMMETRIC_QUADRATIC, m=20, n_k=5, seed=0),
         estimators=("equal_gibbs", "single_gibbs", "double_gibbs",
                     "double_integrated", "double_map"),
-        R=3, chain=ChainConfig(n_iterations=600, n_burnin=200, seed=0))
+        R=3, chain=ChainConfig(n_draws=400, seed=0))
     dirs = (tmp_path / "run1", tmp_path / "run2")
     for d in dirs:
         emit_plot_data([run_scenario(scen)], d)
@@ -285,8 +285,8 @@ def test_criterion_10_census_reduction():
     pop = generate_population(PopulationConfig(
         M=500, N_h=10, mu0=1.0, sigma_a0=2.0, sigma_eps0=3.0, seed=BASE_SEED))
     sample = census_sample(pop)
-    gibbs_chain = ChainConfig(n_iterations=12000, n_burnin=2000, seed=7)
-    integrated_chain = ChainConfig(n_iterations=16000, n_burnin=4000, seed=7)
+    gibbs_chain = ChainConfig(n_draws=10000, seed=7)
+    integrated_chain = ChainConfig(n_draws=12000, seed=7)
     means = {}
     for mode in WeightMode:
         weights = build_weights(sample, mode)

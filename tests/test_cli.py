@@ -21,7 +21,7 @@ grid:
 estimators: [equal_gibbs, double_gibbs]
 R: 2
 base_seed: 12
-chain: {n_iterations: 200, n_burnin: 100}
+chain: {n_draws: 100}
 desk: {R: 2}
 """
 
@@ -130,8 +130,7 @@ class TestEstimate:
     def test_mcmc_methods(self, sample_csv, tmp_path, capsys, method):
         out = tmp_path / "summary.json"
         code = main(["estimate", "--data", str(sample_csv), "--weights-mode", "double",
-                     "--method", method, "--iterations", "400", "--burnin", "150",
-                     "--out", str(out)])
+                     "--method", method, "--draws", "250", "--out", str(out)])
         assert code == 0
         js = json.loads(out.read_text())
         assert js["mode"] == "double"

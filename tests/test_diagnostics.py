@@ -120,7 +120,7 @@ class TestWeightedREAverage:
 
     def test_posterior_sd_contracts_with_m(self):
         # the O(1/M) variance rate: quadrupling... m factor 16 => sd ratio ~ 4
-        chain = ChainConfig(n_iterations=1200, n_burnin=400, seed=2)
+        chain = ChainConfig(n_draws=800, seed=2)
         sds = {}
         for m, M in ((50, 1000), (800, 4000)):
             pop = generate_population(PopulationConfig(

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -12,21 +12,21 @@ from svyanova.harness import (ESTIMATORS, ReplicationReport, Scenario,
                               ScenarioFailure, aggregate_quantiles,
                               emit_plot_data, load_scenarios, report_to_json,
                               run_grid, run_scenario)
-from svyanova.inference import ChainConfig, ParamState, PriorConfig
+from svyanova.inference import ChainConfig, PriorConfig
 from svyanova.popgen import PopulationConfig
 
 
 def _scenario(scenario_id="t", M=40, N_h=8, m=10, n_k=3, R=3, base_seed=5,
               estimators=("equal_gibbs", "double_gibbs"),
               cluster=ClusterDesign.QUADRATIC_SYMMETRIC,
-              unit=UnitDesign.SYMMETRIC_QUADRATIC, iters=300, burn=100):
+              unit=UnitDesign.SYMMETRIC_QUADRATIC, draws=200):
     return Scenario(
         scenario_id=scenario_id,
         population=PopulationConfig(M=M, N_h=N_h, mu0=1.0, sigma_a0=2.0,
                                     sigma_eps0=3.0, seed=0),
         design=TwoStageDesign(cluster, unit, m=m, n_k=n_k, seed=0),
         estimators=estimators, R=R, base_seed=base_seed,
-        chain=ChainConfig(n_iterations=iters, n_burnin=burn, seed=0),
+        chain=ChainConfig(n_draws=draws, seed=0),
         priors=PriorConfig(),
     )
 
@@ -41,7 +41,7 @@ class TestRunScenario:
 
     def test_census_single_replicate_is_plain_fit(self):
         scen = _scenario(M=30, N_h=6, m=30, n_k=6, R=1,
-                         estimators=("equal_gibbs",), iters=600, burn=200)
+                         estimators=("equal_gibbs",), draws=400)
         rep = run_scenario(scen)
         assert rep.R == 1
         assert abs(rep.estimates[("equal_gibbs", "b0")][0] - 1.0) < 1.5
@@ -85,7 +85,7 @@ class TestRunScenario:
             np.testing.assert_array_equal(serial.estimates[key], parallel.estimates[key])
 
     def test_all_estimator_kinds_run(self):
-        scen = _scenario(R=1, estimators=ESTIMATORS, iters=400, burn=150)
+        scen = _scenario(R=1, estimators=ESTIMATORS, draws=250)
         rep = run_scenario(scen)
         assert not rep.failures[0]
         # the collapsed route keeps every independent draw
@@ -193,8 +193,7 @@ class TestEmitPlotData:
         rep = run_scenario(scen)
         js = json.loads(json.dumps(report_to_json(rep)))
         assert js["scenario"]["N_h"] == [3 + h % 4 for h in range(12)]
-        assert js["scenario"]["chain"] == {"n_iterations": 300, "n_burnin": 100,
-                                           "thin": 1, "init": "auto"}
+        assert js["scenario"]["chain"] == {"n_draws": 200}
         assert js["scenario"]["priors"] == {"alpha1": 0.1, "beta1": 0.1,
                                             "alpha2": 0.1, "beta2": 0.1}
         assert js["scenario"]["svyanova_version"] == svyanova.__version__
@@ -207,12 +206,6 @@ class TestEmitPlotData:
             assert diag["double_integrated"]["acceptance_rate"] == 1.0
             assert diag["double_map"]["converged"] in (True, False)
             assert math.isfinite(diag["double_map"]["loglik"])
-
-    def test_report_json_echoes_explicit_init(self):
-        scen = _scenario(R=1, estimators=("equal_gibbs",))
-        scen = replace(scen, chain=replace(scen.chain, init=ParamState(0.5, 0.3, 0.2)))
-        js = json.loads(json.dumps(report_to_json(run_scenario(scen))))
-        assert js["scenario"]["chain"]["init"] == {"mu": 0.5, "tau_a": 0.3, "tau_eps": 0.2}
 
 
 class TestScenarioFiles:
@@ -227,7 +220,7 @@ class TestScenarioFiles:
             "  - {M: 80, m: 20}\n"
             "estimators: [equal_gibbs]\n"
             "R: 4\nbase_seed: 3\n"
-            "chain: {n_iterations: 200, n_burnin: 100}\n"
+            "chain: {n_draws: 100}\n"
             "desk: {R: 2, M: 2, m: 2}\n")
         scens = load_scenarios(cfg)
         assert len(scens) == 2
@@ -279,7 +272,7 @@ class TestScenarioFiles:
          "grid point 1"),
         ("grid: {M: [40], m: [10], N_h: [8], sigma_a: [5]}", "sigma_a", "grid axes"),
         ("grid: [{M: 40, m: 10, N_h: 8}]\ndesk: {R: 2, r: 2}", "r", "desk"),
-        ("grid: [{M: 40, m: 10, N_h: 8}]\nchain: {n_iterations: 300, burnin: 100}",
+        ("grid: [{M: 40, m: 10, N_h: 8}]\nchain: {n_draws: 300, burnin: 100}",
          "burnin", "chain"),
         ("grid: [{M: 40, m: 10, N_h: 8}]\npriors: {alpha1: 0.1, alpha_1: 0.1}",
          "alpha_1", "priors"),
@@ -310,23 +303,60 @@ class TestScenarioFiles:
         # chain seeds derive from base_seed; a chain.seed would be ignored
         cfg = tmp_path / "s.cfg"
         cfg.write_text("name: x\nR: 1\ngrid: [{M: 40, m: 10, N_h: 8}]\n"
-                       "chain: {n_iterations: 300, n_burnin: 100, seed: 5}\n")
+                       "chain: {n_draws: 200, seed: 5}\n")
         with pytest.raises(ConfigError, match=r"chain\.seed.*base_seed.*--seed"):
             load_scenarios(cfg)
 
-    @pytest.mark.parametrize("init", ["map", "{mu: 0.0}"])
-    def test_chain_init_other_than_auto_rejected(self, tmp_path, init):
+    @pytest.mark.parametrize("entry", ["init: auto", "n_iterations: 300", "n_burnin: 100",
+                                       "thin: 1"])
+    def test_markov_chain_settings_are_unknown_keys(self, tmp_path, entry):
+        # the draws are independent: there is no start, burn-in or thinning
         cfg = tmp_path / "s.cfg"
         cfg.write_text("name: x\nR: 1\ngrid: [{M: 40, m: 10, N_h: 8}]\n"
-                       f"chain: {{n_iterations: 300, n_burnin: 100, init: {init}}}\n")
-        with pytest.raises(ConfigError, match=r"chain\.init"):
+                       f"chain: {{n_draws: 200, {entry}}}\n")
+        key = entry.split(":")[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in chain"):
             load_scenarios(cfg)
 
-    def test_chain_init_auto_accepted(self, tmp_path):
+    def test_chain_draw_count_read(self, tmp_path):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("name: x\nR: 1\ngrid: [{M: 40, m: 10, N_h: 8}]\n"
-                       "chain: {n_iterations: 300, n_burnin: 100, init: auto}\n")
-        assert load_scenarios(cfg)[0].chain.init == "auto"
+                       "chain: {n_draws: 300}\n")
+        assert load_scenarios(cfg)[0].chain == ChainConfig(n_draws=300, seed=0)
+
+    @pytest.mark.parametrize("body, key", [
+        ("normalize_weights: 'false'", "normalize_weights"),
+        ("normalize_weights: 1", "normalize_weights"),
+        ("R: 2.7", "R"),
+        ("R: abc", "R"),
+        ("R: 0", "R"),
+        ("grid: [{M: 40, m: 10.9, N_h: 8}]", "m"),
+        ("grid: [{M: 40.0, m: 10, N_h: 8}]", "M"),
+        ("grid: [{M: 40, m: 10, N_h: 8, R: true}]", "R"),
+        ("design: {n_k: 3.8}", "n_k"),
+        ("grid: [{M: 2, m: 1, N_h: [8, 8.5]}]", "N_h"),
+        ("grid: [{M: 40, m: 10, N_h: 8, mu0: abc}]", "mu0"),
+        ("grid: [{M: 40, m: 10, N_h: 8, sigma_a0: true}]", "sigma_a0"),
+        ("base_seed: 1.9", "base_seed"),
+        ("base_seed: -1", "base_seed"),
+        ("desk: {R: 0}", "desk.R"),
+        ("desk: {m: 2.5}", "desk.m"),
+        ("estimators: double_gibbs", "estimators"),
+        ("estimators: [double_gibbs, 3]", "estimators"),
+        ("priors: {alpha1: true}", "alpha1"),
+        ("chain: {n_draws: 0}", "n_draws"),
+        ("chain: {n_draws: 2000.0}", "n_draws"),
+    ], ids=["normalize-string", "normalize-int", "R-float", "R-string", "R-zero", "m-float",
+            "M-float", "R-bool-in-grid", "n_k-float", "N_h-float", "mu0-string",
+            "sigma_a0-bool", "base_seed-float", "base_seed-negative", "desk-zero",
+            "desk-float", "estimators-string", "estimators-non-string", "prior-bool",
+            "n_draws-zero", "n_draws-float"])
+    def test_mistyped_value_names_key(self, tmp_path, body, key):
+        cfg = tmp_path / "s.cfg"
+        grid = "" if body.startswith("grid") else "grid: [{M: 40, m: 10, N_h: 8}]\n"
+        cfg.write_text(f"name: x\n{grid}{body}\n")
+        with pytest.raises(ConfigError, match=rf"(^|\s){re.escape(key)} must be"):
+            load_scenarios(cfg, desk=True)
 
     def test_bundled_paper_grids(self):
         from importlib import resources

@@ -156,7 +156,7 @@ class TestCollapsedOracle:
     Geyer ESS).  Every CASES posterior has finite second moments:
     kappa + 3/2 > 1, W/2 + alpha1 > 3/2 and S/2 + alpha2 > 3/2."""
 
-    CHAIN = ChainConfig(n_iterations=6000, n_burnin=2000)
+    CHAIN = ChainConfig(n_draws=4000)
 
     @staticmethod
     def _check(draws, oracle):
@@ -188,7 +188,8 @@ class TestCollapsedOracle:
         # no code with the collapse, so this checks posterior_means (and
         # through it both samplers) independently
         sample, weights, _, prior = make_instance(**case)
-        draws = reference_scan(sample, weights, prior, replace(self.CHAIN, seed=case["seed"]))
+        draws = reference_scan(sample, weights, prior, n_sweeps=6000, n_burnin=2000,
+                               seed=case["seed"])
         self._check(draws, posterior_means(sample, weights, prior))
 
     @pytest.mark.parametrize("case", [CASES[i] for i in (0, 7, 21, 25, 29)])
@@ -199,8 +200,7 @@ class TestCollapsedOracle:
         from scipy.stats import kstest
 
         sample, weights, _, prior = make_instance(**case)
-        draws = run_gibbs(sample, weights, prior, ChainConfig(n_iterations=3000, n_burnin=1000,
-                                                               seed=case["seed"]))
+        draws = run_gibbs(sample, weights, prior, ChainConfig(n_draws=2000, seed=case["seed"]))
         w, starts = weights.w_marg, sample.offsets[:-1]
         sw = np.add.reduceat(w, starts)
         swy = np.add.reduceat(w * sample.y, starts)

@@ -4,10 +4,12 @@ Each per-unit quantity is stored once, flat in cluster order, with cluster
 offsets; the per-cluster views, the per-cluster sums and the sample CSV
 must all agree with that one representation, including on census samples,
 a single cluster, fully sampled clusters (every pi capped at 1), unequal
-cluster sizes and every weight mode.
+cluster sizes and every weight mode.  Every estimator run on such a sample
+gives finite values or a PosteriorError.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                              build_weights, draw_two_stage_sample, sample_from_csv,
                              sample_to_csv)
-from svyanova.inference import _suffstats
+from svyanova.errors import PosteriorError
+from svyanova.inference import (ChainConfig, PriorConfig, _suffstats, map_estimate,
+                                posterior_means, run_gibbs, run_integrated_mcmc)
 from svyanova.popgen import PopulationConfig, generate_population
 
 
@@ -125,3 +129,34 @@ def test_csv_round_trip_rebuilds_weights_bit_for_bit(spec, tmp_path_factory):
     for got, want in ((again.w_k, weights.w_k), (again.w_cond, weights.w_cond),
                       (again.w_marg, weights.w_marg)):
         np.testing.assert_array_equal(got, want)
+
+
+@_with_examples
+@given(spec=edge_designs())
+@settings(max_examples=100, deadline=None)
+def test_every_estimator_is_finite_or_a_posterior_error(spec):
+    # m = 1, unnormalized weights, single-unit clusters (where the
+    # moment-based start has no within-cluster spread) and n_k = N_h
+    _, sample, weights = _draw(spec)
+    prior, chain = PriorConfig(), ChainConfig(n_draws=20, seed=spec["seed"])
+
+    def draws(runner):
+        d = runner(sample, weights, prior, chain)
+        return [d.mu, d.tau_a, d.tau_eps, *(() if d.a is None else (d.a,))]
+
+    def mode():
+        theta, loglik, _ = map_estimate(sample, weights, prior)
+        return [theta.mu, theta.tau_a, theta.tau_eps, loglik]
+
+    fits = {"run_gibbs": lambda: draws(run_gibbs),
+            "run_integrated_mcmc": lambda: draws(run_integrated_mcmc),
+            "posterior_means": lambda: list(posterior_means(sample, weights, prior).values()),
+            "map_estimate": mode}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, fit in fits.items():
+            try:
+                values = fit()
+            except PosteriorError:
+                continue
+            assert all(np.isfinite(v).all() for v in values), name

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from svyanova.design import SampleDraw, WeightMode, build_weights
-from svyanova.errors import ConfigError
 from svyanova.inference import (ChainConfig, ParamState, PriorConfig,
-                                integrated_logposterior, map_estimate, run_gibbs,
-                                run_integrated_mcmc)
+                                integrated_logposterior, map_estimate, run_integrated_mcmc)
 from svyanova.popgen import PopulationConfig, generate_population
 
 from helpers import CASES, census_sample, make_instance
@@ -40,21 +38,12 @@ class TestMapEstimate:
         assert theta.sigma_a == pytest.approx(sa_mm, abs=0.1)
         assert theta.sigma_eps == pytest.approx(se_mm, abs=0.05)
 
-    def test_ascent_from_init(self):
+    def test_scores_above_the_generating_state(self):
         sample, weights, state, prior = make_instance(8)
-        init = ParamState(state.mu, state.tau_a, state.tau_eps)
-        theta, _, _ = map_estimate(sample, weights, prior, init=init)
+        given = ParamState(state.mu, state.tau_a, state.tau_eps)
+        theta, _, _ = map_estimate(sample, weights, prior)
         assert integrated_logposterior(theta, sample, weights, prior) >= \
-            integrated_logposterior(init, sample, weights, prior)
-
-    def test_unknown_init_rejected(self):
-        sample, weights, _, prior = make_instance(2)
-        with pytest.raises(ConfigError, match="bogus"):
-            map_estimate(sample, weights, prior, init="bogus")
-        chain = ChainConfig(n_iterations=10, n_burnin=5, init="bogus")
-        for run in (run_gibbs, run_integrated_mcmc):
-            with pytest.raises(ConfigError, match="bogus"):
-                run(sample, weights, prior, chain)
+            integrated_logposterior(given, sample, weights, prior)
 
     def test_deterministic_given_seed(self):
         # the search draws nothing: the seed is accepted and ignored
@@ -107,8 +96,6 @@ class TestMapEstimate:
         # enough clusters are sampled
         from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign,
                                      draw_two_stage_sample)
-        from svyanova.inference import ChainConfig, run_integrated_mcmc
-
         pop = generate_population(PopulationConfig(
             M=1000, N_h=40, mu0=1.0, sigma_a0=2.0, sigma_eps0=3.0, seed=44))
         design = TwoStageDesign(ClusterDesign.QUADRATIC_SYMMETRIC,
@@ -117,7 +104,7 @@ class TestMapEstimate:
         weights = build_weights(sample, WeightMode.DOUBLE)
         theta, _, _ = map_estimate(sample, weights, PRIOR)
         draws = run_integrated_mcmc(sample, weights, PRIOR,
-                                    ChainConfig(n_iterations=4000, n_burnin=2000, seed=46))
+                                    ChainConfig(n_draws=2000, seed=46))
         assert theta.mu == pytest.approx(draws.mean("b0"), abs=0.1)
         assert theta.sigma_a == pytest.approx(draws.mean("sigma_a"), abs=0.1)
         assert theta.sigma_eps == pytest.approx(draws.mean("sigma_eps"), abs=0.1)

@@ -8,14 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                              build_weights, draw_two_stage_sample)
 from svyanova.errors import ConfigError, PosteriorError
-from svyanova.inference import (ChainConfig, ParamState, PriorConfig, map_estimate,
-                                run_gibbs, run_integrated_mcmc)
+from svyanova.inference import (ChainConfig, PriorConfig, map_estimate, run_gibbs,
+                                run_integrated_mcmc)
 from svyanova.popgen import PopulationConfig, generate_population
 
 from helpers import census_sample, make_instance
 
 
-CHAIN = ChainConfig(n_iterations=3000, n_burnin=1000, seed=11)
+CHAIN = ChainConfig(n_draws=2000, seed=11)
 PRIOR = PriorConfig()
 
 
@@ -45,14 +45,11 @@ class TestGibbs:
         assert np.array_equal(draws.tau_a, again.tau_a)
         assert np.array_equal(draws.a, again.a)
 
-    @pytest.mark.parametrize("thin", [1, 3])
     @pytest.mark.parametrize("runner", [run_gibbs, run_integrated_mcmc])
-    def test_draw_count_and_thinning(self, census_fit, runner, thin):
+    def test_draw_count(self, census_fit, runner):
         _, sample, weights, _ = census_fit
-        chain = ChainConfig(n_iterations=1000, n_burnin=400, thin=thin, seed=1)
-        draws = runner(sample, weights, PRIOR, chain)
-        np.testing.assert_array_equal(draws.iterations, np.arange(400, 1000, thin))
-        assert draws.n_draws == len(draws.iterations) == 600 // thin
+        draws = runner(sample, weights, PRIOR, ChainConfig(n_draws=600, seed=1))
+        assert draws.n_draws == 600
         if runner is run_gibbs:
             assert draws.a.shape == (draws.n_draws, sample.m)
         else:
@@ -84,24 +81,25 @@ class TestGibbs:
         bad[0] = math.nan
         nan_sample = replace(sample, y=bad)
         with pytest.raises(PosteriorError, match="reaches nan"):
-            run_gibbs(nan_sample, weights, prior,
-                      ChainConfig(n_iterations=10, n_burnin=1, seed=0,
-                                  init=ParamState(0.0, 1.0, 1.0)))
+            run_gibbs(nan_sample, weights, prior, ChainConfig(n_draws=9, seed=0))
 
     def test_draws_differ_from_integrated_at_same_seed(self):
         # the effects' normals come first, so the two routes' (mu, tau_a,
         # tau_eps) draws are independent samples, not copies of each other
         sample, weights, _, prior = make_instance(3)
-        chain = ChainConfig(n_iterations=400, n_burnin=100, seed=7)
+        chain = ChainConfig(n_draws=300, seed=7)
         g = run_gibbs(sample, weights, prior, chain)
         i = run_integrated_mcmc(sample, weights, prior, chain)
         assert not np.any(g.mu == i.mu)
 
-    def test_invalid_chain_config(self):
-        with pytest.raises(ConfigError):
-            ChainConfig(n_iterations=100, n_burnin=100)
-        with pytest.raises(ConfigError):
-            ChainConfig(thin=0)
+    @pytest.mark.parametrize("n_draws", [0, -5, 2.5, 100.0, True, "10", None])
+    def test_invalid_draw_count_names_key(self, n_draws):
+        with pytest.raises(ConfigError, match="^n_draws must be an integer >= 1"):
+            ChainConfig(n_draws=n_draws)
+
+    def test_numpy_integer_draw_count(self):
+        chain = ChainConfig(n_draws=np.int64(5))
+        assert chain.n_draws == chain.n_iterations == 5
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("key", ["alpha1", "beta1", "alpha2", "beta2"])
@@ -115,7 +113,7 @@ class TestCensusReduction:
         # pi == 1 makes every weight exactly one, so the three modes give
         # bitwise-identical chains under the same seed
         sample = census_sample(small_population)
-        chain = ChainConfig(n_iterations=300, n_burnin=100, seed=17)
+        chain = ChainConfig(n_draws=200, seed=17)
         draws = {mode: run_gibbs(sample, build_weights(sample, mode), PRIOR, chain)
                  for mode in WeightMode}
         for mode in (WeightMode.SINGLE, WeightMode.DOUBLE):
@@ -137,7 +135,7 @@ class TestShiftInvariance:
         sample, weights, _, prior = make_instance(seed, **kind)
         shifted = replace(sample, y=sample.y + c)
         b0_tol = 1e-9 + 1e-15 * abs(c)
-        chain = ChainConfig(n_iterations=300, n_burnin=100, seed=seed)
+        chain = ChainConfig(n_draws=200, seed=seed)
         base, moved = (run_gibbs(s, weights, prior, chain) for s in (sample, shifted))
         np.testing.assert_allclose(moved.mu - c, base.mu, rtol=0, atol=b0_tol)
         for p in ("sigma_a", "sigma_eps"):
@@ -166,7 +164,7 @@ class TestIntegratedMcmc:
                                 UnitDesign.SYMMETRIC_QUADRATIC, m=60, n_k=5, seed=2)
         sample = draw_two_stage_sample(medium_population, design)
         weights = build_weights(sample, WeightMode.DOUBLE)
-        chain = ChainConfig(n_iterations=6000, n_burnin=2000, seed=5)
+        chain = ChainConfig(n_draws=4000, seed=5)
         g = run_gibbs(sample, weights, PRIOR, chain)
         i = run_integrated_mcmc(sample, weights, PRIOR, chain)
         for p in ("b0", "sigma_a", "sigma_eps"):
@@ -192,17 +190,9 @@ class TestIntegratedMcmc:
         # has no finite posterior mean
         sample, weights, _, _ = make_instance(0, m_max=1, nk_max=1, w_range=(1.0, 1.0))
         prior = PriorConfig(0.01, 0.01, 0.01, 0.01)
-        chain = ChainConfig(n_iterations=6000, n_burnin=3000, seed=21)
+        chain = ChainConfig(n_draws=3000, seed=21)
         with pytest.raises(PosteriorError, match="kappa"):
             run_integrated_mcmc(sample, weights, prior, chain)
-
-    def test_explicit_init_state(self, small_population):
-        sample = census_sample(small_population)
-        weights = build_weights(sample, WeightMode.EQUAL)
-        chain = ChainConfig(n_iterations=500, n_burnin=200, seed=3,
-                            init=ParamState(0.5, 0.3, 0.2))
-        draws = run_integrated_mcmc(sample, weights, PRIOR, chain)
-        assert draws.n_draws == 300
 
 
 class TestStreamPin:
@@ -210,7 +200,7 @@ class TestStreamPin:
     streams is made on purpose: a kernel rewrite that keeps the streams
     moves the draws by rounding only, and MAP within its search tolerance."""
 
-    CHAIN = ChainConfig(n_iterations=60, n_burnin=10, seed=11)
+    CHAIN = ChainConfig(n_draws=50, seed=11)
 
     @pytest.mark.parametrize("runner, first, last", [
         (run_gibbs,
@@ -247,8 +237,10 @@ class TestDrawsMatrixIO:
         path = tmp_path / "draws.csv"
         draws.to_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,mu,sigma_a,sigma_eps"
+        assert lines[0] == "draw,mu,sigma_a,sigma_eps"
         assert len(lines) == draws.n_draws + 1
+        assert [line.split(",")[0] for line in lines[1:]] == \
+            [str(i) for i in range(draws.n_draws)]
         first = lines[1].split(",")
         assert float(first[1]) == draws.mu[0]
 

@@ -323,6 +323,15 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
+def _choice(kind, value, key: str):
+    """The member of the enum ``kind`` named by ``value``."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be one of {', '.join(k.value for k in kind)}, "
+                          f"got {value!r}") from None
+
+
 def load_scenarios(path, desk: bool = False, base_seed: int | None = None) -> list[Scenario]:
     """Parse a scenario file into the list of scenarios it defines.
 
@@ -335,8 +344,10 @@ def load_scenarios(path, desk: bool = False, base_seed: int | None = None) -> li
     ``design``, ``chain``, ``priors``, ``desk``, a grid point or the grid
     axes) that is empty or not a mapping, and a value of the wrong type:
     a count or seed that is not an integer, a number that is not finite, a
-    ``normalize_weights`` that is not a boolean or ``estimators`` that is
-    not a list of names.
+    ``normalize_weights`` that is not a boolean, ``estimators`` that is
+    not a list of names or a ``cluster`` or ``unit`` that names no design.
+    So does a design no sample can be drawn from: ``m`` above ``M``, or
+    ``n_k`` above the smallest ``N_h``, after the desk divisors.
     """
     with open(path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
@@ -379,9 +390,14 @@ def load_scenarios(path, desk: bool = False, base_seed: int | None = None) -> li
             sigma_a0=_real(merged.get("sigma_a0", 2.0), "sigma_a0"),
             sigma_eps0=_real(merged.get("sigma_eps0", 3.0), "sigma_eps0"), seed=0)
         design = TwoStageDesign(
-            cluster_kind=ClusterDesign(merged.get("cluster", "srs")),
-            unit_kind=UnitDesign(merged.get("unit", "srs")),
+            cluster_kind=_choice(ClusterDesign, merged.get("cluster", "srs"), "cluster"),
+            unit_kind=_choice(UnitDesign, merged.get("unit", "srs"), "unit"),
             m=m, n_k=require_int(merged.get("n_k", 5), "n_k", 1), seed=0)
+        if m > M:
+            raise ConfigError(f"m must be <= M, got m={m} for M={M} in grid point {idx}")
+        if design.n_k > min(population.N_h):
+            raise ConfigError(f"n_k must be <= the smallest N_h, got n_k={design.n_k} for "
+                              f"N_h={min(population.N_h)} in grid point {idx}")
         sid = (f"{name}-{idx:03d}-M{M}-m{m}-nk{design.n_k}"
                f"-c_{design.cluster_kind.value}-u_{design.unit_kind.value}")
         scenarios.append(Scenario(

@@ -30,8 +30,11 @@ check those closed forms against.
 Both drawing routes take (x, tau_eps, mu) from ``_draw_collapsed``, which
 draws all its ``uniform`` values (x by inverse CDF), then all
 ``standard_gamma`` (tau_eps), then all ``standard_normal`` (mu), one per
-kept draw; ``run_gibbs`` first draws ``standard_normal((n_draws, m))`` for
-the cluster effects.  A change to these calls changes the random streams.
+kept draw: ``run_integrated_mcmc`` from the substream keyed by the chain
+seed alone, ``run_gibbs`` from the one keyed by (seed, 1).  ``run_gibbs``
+draws ``standard_normal((n_draws, m))`` for the cluster effects from that
+generator where the collapsed draws left it, when its result's ``a`` is
+first read.  A change to these calls changes the random streams.
 
 Precisions ``tau`` are carried internally; reported scales are
 ``sigma = tau**-0.5`` applied per draw.
@@ -39,9 +42,10 @@ Precisions ``tau`` are carried internally; reported scales are
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from numbers import Real
 
 import numpy as np
@@ -114,15 +118,25 @@ class ChainConfig:
         return self.n_draws
 
 
-@dataclass(frozen=True)
 class DrawsMatrix:
-    """Independent posterior draws with summary accessors."""
+    """Independent posterior draws with summary accessors.
 
-    mu: np.ndarray
-    tau_a: np.ndarray
-    tau_eps: np.ndarray
-    a: np.ndarray | None = None          # (n_draws, m) for augmented chains
-    acceptance_rate: float | None = None
+    ``a`` holds the (n_draws, m) cluster effects of an augmented fit, else
+    None.  It may be given as a callable that returns them, as ``run_gibbs``
+    does: the effects are then drawn when ``a`` is first read, and kept.
+    """
+
+    def __init__(self, mu: np.ndarray, tau_a: np.ndarray, tau_eps: np.ndarray,
+                 a=None, acceptance_rate: float | None = None):
+        self.mu, self.tau_a, self.tau_eps = mu, tau_a, tau_eps
+        self._a = a
+        self.acceptance_rate = acceptance_rate
+
+    @property
+    def a(self) -> np.ndarray | None:
+        if callable(self._a):
+            self._a = self._a()
+        return self._a
 
     @property
     def n_draws(self) -> int:
@@ -594,30 +608,42 @@ def _draw_collapsed(stats: _SuffStats, prior: PriorConfig, rng, n: int):
     return mu, tau_a, tau_eps
 
 
+def _draw_effects(stats: _SuffStats, mu: np.ndarray, tau_a: np.ndarray, tau_eps: np.ndarray,
+                  rng) -> np.ndarray:
+    """One row of cluster effects per draw of the centred (mu, tau_a,
+    tau_eps): a_k ~ N(h_k, 1/phi_k) from ``_cond_a``, with the standard
+    normals drawn from a copy of ``rng``, so every call returns the same
+    array."""
+    a = copy.deepcopy(rng).standard_normal((len(mu), stats.m))
+    rows = max(1, _BLOCK_ENTRIES // stats.m)
+    for start in range(0, len(mu), rows):
+        block = slice(start, start + rows)
+        h, phi = _cond_a(stats, mu[block, None], tau_a[block, None], tau_eps[block, None])
+        a[block] /= np.sqrt(phi, out=phi)
+        a[block] += h
+    return a
+
+
 def run_gibbs(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:
     """Independent exact draws of the augmented state (mu, tau_a, tau_eps,
     a_1..a_m); not a Gibbs scan, though it targets the same pseudo-posterior.
 
     (mu, tau_a, tau_eps) is drawn as in ``run_integrated_mcmc``, since the
-    augmented posterior's marginal is the integrated one; then each
+    augmented posterior's marginal is the integrated one, but from the
+    substream (``chain.seed``, 1), so that the draws differ from
+    ``run_integrated_mcmc``'s at the same seed.  Each
     a_k | mu, tau_a, tau_eps ~ N(h_k, 1/phi_k), the full conditional
-    ``fc_a_k`` returns.  The standard normals of the effects are drawn
-    first, into the returned (n_draws, m) array, so that the (mu, tau_a,
-    tau_eps) draws differ from ``run_integrated_mcmc``'s at the same seed.
-    Makes ``chain.n_draws`` draws; deterministic given ``chain.seed``;
-    raises PosteriorError where ``_x_grid`` does.
+    ``fc_a_k`` returns, is drawn only when the result's ``a`` is first read,
+    from the generator where the (mu, tau_a, tau_eps) draws left it: the
+    effects are the same whenever, and wherever, they are read.  Makes
+    ``chain.n_draws`` draws; deterministic given ``chain.seed``; raises
+    PosteriorError where ``_x_grid`` does.
     """
     stats = _suffstats(sample, weights)
-    rng = substream(chain.seed)
-    a = rng.standard_normal((chain.n_draws, stats.m))
+    rng = substream(chain.seed, 1)
     mu, tau_a, tau_eps = _draw_collapsed(stats, prior, rng, chain.n_draws)
-    rows = max(1, _BLOCK_ENTRIES // stats.m)
-    for start in range(0, chain.n_draws, rows):
-        block = slice(start, start + rows)
-        h, phi = _cond_a(stats, mu[block, None], tau_a[block, None], tau_eps[block, None])
-        a[block] /= np.sqrt(phi, out=phi)
-        a[block] += h
-    return DrawsMatrix(mu=mu + stats.center, tau_a=tau_a, tau_eps=tau_eps, a=a)
+    return DrawsMatrix(mu=mu + stats.center, tau_a=tau_a, tau_eps=tau_eps,
+                       a=partial(_draw_effects, stats, mu, tau_a, tau_eps, rng))
 
 
 def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:

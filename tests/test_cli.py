@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from svyanova import harness
 from svyanova.cli import main
 from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                              build_weights, draw_two_stage_sample, sample_to_csv)
+from svyanova.errors import DesignError
 
 
 TINY_CFG = """\
@@ -72,11 +74,24 @@ class TestSimulate:
         js = json.loads(next(out.glob("*/report.json")).read_text())
         assert js["scenario"]["R"] == 1
 
-    def test_scenario_failure_exits_nonzero(self, tmp_path):
+    def test_scenario_failure_exits_nonzero(self, tmp_path, tiny_scenario, monkeypatch,
+                                            capsys):
+        # every replicate's sample draw fails, so the scenario does
+        def fail(population, design):
+            raise DesignError("no sample")
+
+        monkeypatch.setattr(harness, "draw_two_stage_sample", fail)
+        out = tmp_path / "results"
+        assert main(["simulate", "--scenario", str(tiny_scenario), "--out", str(out)]) == 1
+        assert "FAILED (RuntimeError: every replicate" in capsys.readouterr().err
+
+    def test_design_larger_than_population_exits_at_load(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CFG.replace("n_k: 3", "n_k: 100"))
         out = tmp_path / "results"
-        assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 1
+        assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: n_k must be <=")
+        assert not out.exists()
 
     def test_unreadable_scenario_errors(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.cfg")]) == 2

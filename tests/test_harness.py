@@ -358,6 +358,30 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError, match=rf"(^|\s){re.escape(key)} must be"):
             load_scenarios(cfg, desk=True)
 
+    @pytest.mark.parametrize("key, value, kind", [("cluster", "quadratic", ClusterDesign),
+                                                  ("unit", "lin", UnitDesign)])
+    def test_unknown_design_names_key_and_choices(self, tmp_path, key, value, kind):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"name: x\nR: 1\ngrid: [{{M: 40, m: 10, N_h: 8, {key}: {value}}}]\n")
+        with pytest.raises(ConfigError, match=f"^{key} must be one of .*'{value}'") as err:
+            load_scenarios(cfg)
+        assert all(choice.value in str(err.value) for choice in kind)
+
+    @pytest.mark.parametrize("body, key", [
+        ("grid: [{M: 40, m: 50, N_h: 8}]", "m"),
+        ("grid: [{M: 40, m: 40, N_h: 8}]\ndesk: {M: 4}", "m"),
+        ("grid: [{M: 40, m: 10, N_h: 8, n_k: 9}]", "n_k"),
+        ("grid: [{M: 2, m: 1, N_h: [8, 3], n_k: 4}]", "n_k"),
+    ], ids=["m-above-M", "m-above-desk-M", "n_k-above-N_h", "n_k-above-smallest-N_h"])
+    def test_design_larger_than_population_fails_at_load(self, tmp_path, body, key):
+        # loaded, such a scenario would fail every replicate when run
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"name: x\nR: 1\n{body}\n")
+        if "desk" in body:  # m = 40 fits M = 40, but not the desk's M = 40 // 4
+            assert load_scenarios(cfg)[0].design.m == 40
+        with pytest.raises(ConfigError, match=f"^{key} must be <="):
+            load_scenarios(cfg, desk=True)
+
     def test_bundled_paper_grids(self):
         from importlib import resources
 

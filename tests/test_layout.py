@@ -5,7 +5,8 @@ offsets; the per-cluster views, the per-cluster sums and the sample CSV
 must all agree with that one representation, including on census samples,
 a single cluster, fully sampled clusters (every pi capped at 1), unequal
 cluster sizes and every weight mode.  Every estimator run on such a sample
-gives finite values or a PosteriorError.
+gives finite values or a PosteriorError, and a harness replicate on such a
+design gives finite cells or NaN cells whose error is reported.
 """
 
 import math
@@ -19,6 +20,7 @@ from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMo
                              build_weights, draw_two_stage_sample, sample_from_csv,
                              sample_to_csv)
 from svyanova.errors import PosteriorError
+from svyanova.harness import ESTIMATORS, Scenario, run_scenario
 from svyanova.inference import (ChainConfig, PriorConfig, _suffstats, map_estimate,
                                 posterior_means, run_gibbs, run_integrated_mcmc)
 from svyanova.popgen import PopulationConfig, generate_population
@@ -160,3 +162,30 @@ def test_every_estimator_is_finite_or_a_posterior_error(spec):
             except PosteriorError:
                 continue
             assert all(np.isfinite(v).all() for v in values), name
+
+
+@_with_examples
+@given(spec=edge_designs())
+@settings(max_examples=100, deadline=None)
+def test_harness_replicate_is_finite_or_a_reported_failure(spec):
+    # the whole replicate: population, sample, every weight mode and all
+    # five estimators, as simulate runs it
+    scenario = Scenario(
+        scenario_id="edge",
+        population=PopulationConfig(M=spec["M"], N_h=spec["N_h"], mu0=1.0, sigma_a0=2.0,
+                                    sigma_eps0=3.0, seed=0),
+        design=TwoStageDesign(spec["cluster"], spec["unit"], m=spec["m"], n_k=spec["n_k"],
+                              seed=0),
+        estimators=ESTIMATORS, R=1, base_seed=spec["seed"],
+        chain=ChainConfig(n_draws=20), normalize_weights=spec["normalize"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_scenario(scenario)
+    failures = report.failures[0]
+    assert set(failures) <= set(ESTIMATORS)
+    for (est, p), values in report.estimates.items():
+        if est in failures:
+            assert np.isnan(values).all(), (est, p)
+            assert failures[est].startswith("PosteriorError: "), failures[est]
+        else:
+            assert np.isfinite(values).all(), (est, p)

@@ -1,4 +1,6 @@
 import math
+import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -84,8 +86,9 @@ class TestGibbs:
             run_gibbs(nan_sample, weights, prior, ChainConfig(n_draws=9, seed=0))
 
     def test_draws_differ_from_integrated_at_same_seed(self):
-        # the effects' normals come first, so the two routes' (mu, tau_a,
-        # tau_eps) draws are independent samples, not copies of each other
+        # run_gibbs draws from the substream (seed, 1), run_integrated_mcmc
+        # from (seed,), so the two routes' (mu, tau_a, tau_eps) draws are
+        # independent samples, not copies of each other
         sample, weights, _, prior = make_instance(3)
         chain = ChainConfig(n_draws=300, seed=7)
         g = run_gibbs(sample, weights, prior, chain)
@@ -106,6 +109,52 @@ class TestGibbs:
     def test_invalid_prior_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             PriorConfig(**{key: value})
+
+
+class TestDeferredEffects:
+    """run_gibbs draws the cluster effects when its result's ``a`` is first
+    read, from where the (mu, tau_a, tau_eps) draws left the generator."""
+
+    CHAIN = ChainConfig(n_draws=300, seed=7)
+
+    def test_read_twice_is_the_same_array(self):
+        sample, weights, _, prior = make_instance(3)
+        draws = run_gibbs(sample, weights, prior, self.CHAIN)
+        assert draws.a is draws.a
+
+    def test_read_late_equals_read_at_once(self):
+        sample, weights, _, prior = make_instance(3)
+        at_once = run_gibbs(sample, weights, prior, self.CHAIN).a
+        late = run_gibbs(sample, weights, prior, self.CHAIN)
+        run_integrated_mcmc(sample, weights, prior, self.CHAIN)
+        np.testing.assert_array_equal(late.a, at_once)
+
+    def test_pickles_before_and_after_the_read(self):
+        sample, weights, _, prior = make_instance(4)
+        draws = run_gibbs(sample, weights, prior, self.CHAIN)
+        unread = pickle.loads(pickle.dumps(draws))
+        effects = draws.a
+        read = pickle.loads(pickle.dumps(draws))
+        for back in (unread, read):
+            for name in ("mu", "tau_a", "tau_eps"):
+                np.testing.assert_array_equal(getattr(back, name), getattr(draws, name))
+            np.testing.assert_array_equal(back.a, effects)
+
+    def test_unread_effects_are_never_allocated(self):
+        # a census of 800 clusters: the (n_draws, m) effects would take 12.8 MB
+        pop = generate_population(PopulationConfig(
+            M=800, N_h=5, mu0=1.0, sigma_a0=2.0, sigma_eps0=3.0, seed=8))
+        sample = census_sample(pop)
+        weights = build_weights(sample, WeightMode.DOUBLE)
+        effects_bytes = CHAIN.n_draws * sample.m * 8
+        tracemalloc.start()
+        try:
+            draws = run_gibbs(sample, weights, PRIOR, CHAIN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < effects_bytes
+        assert draws.a.nbytes == effects_bytes
 
 
 class TestCensusReduction:
@@ -204,8 +253,8 @@ class TestStreamPin:
 
     @pytest.mark.parametrize("runner, first, last", [
         (run_gibbs,
-         (-0.2625983767983374, 5.2362244972696725, 0.1381649988583922),
-         (0.06470165826944102, 8.599867256780897, 0.14157038478462164)),
+         (-0.21645642196871948, 13.15512985479367, 0.13267754369279888),
+         (-0.7393930442076315, 3.020567943033759, 0.17449668097364962)),
         (run_integrated_mcmc,
          (-0.3011320372532631, 7.1889597546792805, 0.16941926240530142),
          (-0.11474947482519851, 15.06629201557328, 0.08020786683950931)),
@@ -221,7 +270,7 @@ class TestStreamPin:
             assert draws.acceptance_rate == 1.0
         else:
             assert (draws.a[0, 0], draws.a[-1, -1]) == pytest.approx(
-                (-0.038290088194157475, 0.1845789702946365), rel=1e-12, abs=0)
+                (0.1296851947031742, 0.5543754630549481), rel=1e-12, abs=0)
 
     def test_map_theta(self):
         sample, weights, _, prior = make_instance(3)

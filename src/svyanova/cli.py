@@ -29,6 +29,17 @@ from .inference import (ChainConfig, PriorConfig, map_estimate, map_summary,
 from .popgen import generate_population
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count; argparse names the flag in the error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="svyanova",
                                      description="Survey-weighted pseudo-Bayesian "
@@ -44,14 +55,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="apply the file's desk-scale divisors to M, m, R")
     sim.add_argument("--out", default="results", help="output directory")
     sim.add_argument("--seed", type=int, default=None, help="override base_seed")
-    sim.add_argument("--workers", type=int, default=1, help="parallel replicate workers")
+    sim.add_argument("--workers", type=_positive_int, default=1,
+                     help="parallel replicate workers")
 
     diag = sub.add_parser("diagnose", help="design diagnostics for a scenario file")
     diag.add_argument("--scenario", required=True)
     diag.add_argument("--out", required=True)
     diag.add_argument("--desk", action="store_true")
     diag.add_argument("--seed", type=int, default=None)
-    diag.add_argument("--balance-replicates", type=int, default=50)
+    diag.add_argument("--balance-replicates", type=_positive_int, default=50)
 
     est = sub.add_parser("estimate", help="one-shot estimation on a sample CSV")
     est.add_argument("--data", required=True, help="sample CSV (export schema)")
@@ -64,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "through its collapse to log(tau_a/tau_eps); map: its mode")
     est.add_argument("--seed", type=int, default=0,
                      help="seed of gibbs and integrated draws; map does not draw")
-    est.add_argument("--draws", type=int, default=2000,
+    est.add_argument("--draws", type=_positive_int, default=2000,
                      help="number of independent gibbs or integrated draws")
     est.add_argument("--out", default=None, help="write the summary JSON here too")
     return parser

@@ -5,13 +5,17 @@ cluster, both by randomized-order systematic PPS.  Size measures are
 functions of the population latents (cluster effects for stage 1, unit
 noise for stage 2), which is what makes the designs informative.
 Population constants in the size formulas (the noise minimum of the
-linear unit designs) are computed once per population, so drawing from
-each selected cluster costs O(N_h).  Weights invert the realized
-inclusion probabilities and are optionally normalized so the
+linear unit designs) are computed once per population.  Stage 2 is one
+array program over the selected clusters: ``unit_blocks`` builds the
+inclusion probabilities of clusters of equal size as the rows of one
+matrix, and ``select_rows`` makes the systematic selection of every row
+at once.  Only the random numbers are drawn per cluster, each selected
+cluster k from the substream keyed by (seed, 2, k), so a cluster's draw
+does not depend on which other clusters were selected.  Weights invert
+the realized inclusion probabilities and are optionally normalized so the
 pseudo-likelihood's effective sample size equals the realized sample
 size.  Samples and weights hold each per-unit quantity once, as a flat
-array in cluster order with cluster offsets, so only the stage-2 draw
-loops over clusters (one random substream each).
+array in cluster order with cluster offsets.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +34,10 @@ from .popgen import Population, cluster_offsets
 from .rng import substream
 
 _SUM_TOL = 1e-9
+# units per stage-2 block: bounds the temporaries of a row-wise draw to
+# about 128 KB per array (a balance replicate over M = 1000 clusters of
+# 40 would otherwise hold a dozen arrays of 320 KB at once)
+_BLOCK_UNITS = 1 << 14
 
 
 class ClusterDesign(str, Enum):
@@ -154,17 +163,24 @@ def size_measures(population: Population, kind, cluster: int | None = None) -> n
     if cluster is None:
         raise DesignError("unit size measures require a cluster index")
     eps = population.eps0[population.offsets[cluster]:population.offsets[cluster + 1]]
+    return _unit_sizes(eps, kind, population.eps_min)
+
+
+def _unit_sizes(eps: np.ndarray, kind, eps_min: float) -> np.ndarray:
+    """Unit size measures of noise values ``eps`` of any shape, elementwise."""
     if kind is UnitDesign.QUADRATIC:
         return np.maximum(0.0, eps) ** 2 + 1.0
     if kind is UnitDesign.WEAK_QUADRATIC:
         return 0.3 * np.maximum(0.0, eps) ** 2 + 1.0
     if kind is UnitDesign.LINEAR:
-        return eps - population.eps_min + 1.0
+        return eps - eps_min + 1.0
     if kind is UnitDesign.WEAK_LINEAR:
-        return 0.3 * (eps - population.eps_min) + 1.0
+        return 0.3 * (eps - eps_min) + 1.0
     if kind is UnitDesign.SYMMETRIC_QUADRATIC:
         return eps ** 2 + 1.0
-    return np.ones_like(eps)
+    if kind is UnitDesign.SRS:
+        return np.ones_like(eps)
+    raise DesignError(f"unknown design kind: {kind!r}")
 
 
 def inclusion_probs(sizes: np.ndarray, n: int) -> np.ndarray:
@@ -193,19 +209,42 @@ def inclusion_probs(sizes: np.ndarray, n: int) -> np.ndarray:
     return pi
 
 
-def pps_sample_size(pi: np.ndarray) -> int:
+def inclusion_probs_rows(sizes: np.ndarray, n: int) -> np.ndarray:
+    """``inclusion_probs(sizes[i], n)`` for every row i of a size matrix,
+    bit for bit.
+
+    The uncapped first pass runs on all rows at once: a sum along the last
+    axis of a C-contiguous matrix is the same pairwise sum as the 1-D sum
+    of the row.  Only the rows with a probability above 1 go through the
+    capping loop of ``inclusion_probs``.
+    """
+    sizes = np.ascontiguousarray(sizes, dtype=float)
+    if n < 1 or n > sizes.shape[1]:
+        raise DesignError(f"cannot select n={n} from {sizes.shape[1]} elements")
+    if np.any(sizes <= 0):
+        raise DesignError("size measures must be positive")
+    pi = n * sizes / sizes.sum(axis=1, keepdims=True)
+    for i in np.flatnonzero((pi > 1.0).any(axis=1)):
+        pi[i] = inclusion_probs(sizes[i], n)
+    return pi
+
+
+def pps_sample_size(pi: np.ndarray):
     """Validate inclusion probabilities for systematic PPS; return n = sum(pi).
 
     Raises DesignError unless every ``pi`` lies in [0, 1] and the sum is an
-    integer (within 1e-9).
+    integer (within 1e-9).  A matrix is validated row by row, and the sum
+    of each row is returned as an integer array.
     """
-    total = float(pi.sum())
-    n = int(round(total))
-    if abs(total - n) > _SUM_TOL:
-        raise DesignError(f"inclusion probabilities sum to {total}, not an integer")
+    total = np.asarray(pi.sum(axis=-1))
+    n = np.rint(total)
+    off = np.abs(total - n) > _SUM_TOL
+    if off.any():
+        raise DesignError(f"inclusion probabilities sum to {float(total[off][0])}, "
+                          f"not an integer")
     if np.any(pi < 0) or np.any(pi > 1.0 + 1e-12):
         raise DesignError("inclusion probabilities must lie in [0, 1]")
-    return n
+    return int(n) if n.ndim == 0 else n.astype(int)
 
 
 def systematic_pps(pi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -216,17 +255,10 @@ def systematic_pps(pi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ``u + t`` for ``t = 0..n-1`` (``u ~ Uniform(0,1)``) is selected.  A
     point landing exactly on an interval boundary goes to the interval on
     the right.  Returns exactly ``n = sum(pi)`` distinct indices, sorted.
-    ``pi`` is validated by ``pps_sample_size`` first; a caller drawing
-    repeatedly from one ``pi`` validates once and calls ``select_pps``.
+    ``pi`` is validated by ``pps_sample_size`` before any draw.
     """
     pi = np.asarray(pi, dtype=float)
-    return select_pps(pi, pps_sample_size(pi), rng)
-
-
-def select_pps(pi: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The selection step of ``systematic_pps`` on an already validated
-    float array ``pi`` with ``n = pps_sample_size(pi)``; draws the same
-    random numbers in the same order."""
+    n = pps_sample_size(pi)
     perm = rng.permutation(pi.size)
     cum = pi[perm].cumsum()
     points = rng.uniform() + np.arange(n)
@@ -236,12 +268,69 @@ def select_pps(pi: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     return sel
 
 
+def select_rows(pi: np.ndarray, n: int, perm: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The selection of ``systematic_pps`` on every row of ``pi`` at once.
+
+    Row i is ordered by ``perm[i]`` and starts at ``u[i]``; its result is
+    what ``systematic_pps(pi[i], rng)`` returns when ``rng`` draws
+    ``perm[i]`` and then ``u[i]``, bit for bit.  ``pi`` must already be
+    validated, with every row summing to ``n``.  Returns the (r, n)
+    selected indices, each row sorted.
+    """
+    # transposed, so that the scan and the compares below run along rows
+    # of r contiguous values; cum[j, i] is the same sequential sum as the
+    # 1-D cumsum of row i
+    cum = np.ascontiguousarray(np.take_along_axis(pi, perm, axis=1).T).cumsum(axis=0)
+    points = u + np.arange(n)[:, None]
+    # searchsorted(side="right") of each point in its row: the number of
+    # cumulative sums <= the point, as an exact compare
+    pos = np.stack([(cum <= p).sum(axis=0) for p in points], axis=1)
+    sel = np.take_along_axis(perm, np.minimum(pos, pi.shape[1] - 1), axis=1)
+    sel.sort(axis=1)
+    return sel
+
+
+class UnitBlock(NamedTuple):
+    """Stage-2 inclusion probabilities of clusters of one size N_h, as rows."""
+
+    rows: np.ndarray               # (r,) positions of these clusters in ``clusters``
+    starts: np.ndarray             # (r,) population index of each cluster's first unit
+    pi: np.ndarray                 # (r, N_h) validated pi_{j|k} of the clusters' units
+
+
+def unit_blocks(population: Population, kind: UnitDesign, n: int,
+                clusters: np.ndarray) -> list[UnitBlock]:
+    """Capped-PPS probabilities of selecting ``n`` units from each of ``clusters``.
+
+    Clusters are grouped by size, and the clusters of one size into
+    blocks of at most ``_BLOCK_UNITS`` units (or of one cluster, if it is
+    larger).  Row i of a block is cluster ``clusters[rows[i]]``; its
+    probabilities equal
+    ``inclusion_probs(size_measures(population, kind, cluster), n)`` bit
+    for bit and are validated by ``pps_sample_size`` before any draw.
+    """
+    clusters = np.asarray(clusters)
+    N_h = np.asarray(population.config.N_h)[clusters]
+    blocks = []
+    for size in np.unique(N_h):
+        same = np.flatnonzero(N_h == size)
+        step = max(1, _BLOCK_UNITS // size)
+        for rows in np.split(same, range(step, len(same), step)):
+            starts = population.offsets[clusters[rows]]
+            eps = population.eps0[starts[:, None] + np.arange(size)]
+            pi = inclusion_probs_rows(_unit_sizes(eps, kind, population.eps_min), n)
+            pps_sample_size(pi)
+            blocks.append(UnitBlock(rows, starts, pi))
+    return blocks
+
+
 def draw_two_stage_sample(population: Population, design: TwoStageDesign) -> SampleDraw:
     """Draw clusters then units, each by capped-PPS + systematic selection.
 
-    Stage 2 runs independently per selected cluster on an RNG substream
-    keyed by the population cluster id, so per-cluster draws do not depend
-    on which other clusters were selected.
+    Stage 2 runs on an RNG substream per selected cluster, keyed by the
+    population cluster id, so per-cluster draws do not depend on which
+    other clusters were selected; its arithmetic runs on all selected
+    clusters at once (``unit_blocks``, ``select_rows``).
     """
     if not 1 <= design.m <= population.M:
         raise DesignError(f"m={design.m} invalid for M={population.M}")
@@ -249,17 +338,19 @@ def draw_two_stage_sample(population: Population, design: TwoStageDesign) -> Sam
         raise DesignError(f"n_k={design.n_k} invalid for N_h={min(population.config.N_h)}")
     pi_h = inclusion_probs(size_measures(population, design.cluster_kind), design.m)
     cluster_ids = systematic_pps(pi_h, substream(design.seed, 1))
-    units, pi_cond = [], []
-    for k in cluster_ids:
-        pi_u = inclusion_probs(size_measures(population, design.unit_kind, cluster=k), design.n_k)
-        sel = systematic_pps(pi_u, substream(design.seed, 2, int(k)))
-        units.append(sel)
-        pi_cond.append(pi_u[sel])
-    units = np.concatenate(units)
-    rows = np.repeat(population.offsets[cluster_ids], design.n_k) + units
-    return SampleDraw(cluster_ids=cluster_ids, offsets=design.n_k * np.arange(len(cluster_ids) + 1),
-                      units=units, pi_h=pi_h, pi_cond=np.concatenate(pi_cond),
-                      y=population.y[rows])
+    shape = (len(cluster_ids), design.n_k)
+    units, pi_cond, y = np.empty(shape, dtype=np.intp), np.empty(shape), np.empty(shape)
+    for block in unit_blocks(population, design.unit_kind, design.n_k, cluster_ids):
+        rngs = [substream(design.seed, 2, int(k)) for k in cluster_ids[block.rows]]
+        # each stream draws its permutation, then its start point
+        perm = np.array([rng.permutation(block.pi.shape[1]) for rng in rngs])
+        u = np.array([rng.uniform() for rng in rngs])
+        sel = select_rows(block.pi, design.n_k, perm, u)
+        units[block.rows] = sel
+        pi_cond[block.rows] = np.take_along_axis(block.pi, sel, axis=1)
+        y[block.rows] = population.y[block.starts[:, None] + sel]
+    return SampleDraw(cluster_ids=cluster_ids, offsets=design.n_k * np.arange(shape[0] + 1),
+                      units=units.ravel(), pi_h=pi_h, pi_cond=pi_cond.ravel(), y=y.ravel())
 
 
 def build_weights(sample: SampleDraw, mode: WeightMode | str = WeightMode.DOUBLE,

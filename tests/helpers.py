@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from svyanova.design import SampleDraw, WeightMode, WeightSet
+from svyanova.design import (SampleDraw, TwoStageDesign, WeightMode, WeightSet,
+                             inclusion_probs, size_measures, systematic_pps)
 from svyanova.inference import (DrawsMatrix, ParamState, PriorConfig, _auto_init, _cond_a,
                                 _cond_mu, _cond_tau_a, _cond_tau_eps, _suffstats)
-from svyanova.popgen import cluster_offsets
+from svyanova.popgen import Population, cluster_offsets
 from svyanova.rng import substream
 
 
@@ -172,3 +173,24 @@ def census_sample(population) -> SampleDraw:
         units=np.arange(N) - np.repeat(population.offsets[:-1], population.config.N_h),
         pi_h=np.ones(M), pi_cond=np.ones(N), y=population.y,
     )
+
+
+def reference_two_stage_sample(population: Population, design: TwoStageDesign) -> SampleDraw:
+    """The two-stage draw cluster by cluster: for each selected cluster k,
+    ``inclusion_probs`` of its unit size measures and ``systematic_pps`` on
+    the substream keyed by (seed, 2, k).  It shares no stage-2 arithmetic
+    with ``draw_two_stage_sample``'s row-wise kernel, so it checks that
+    kernel independently; the two must agree bit for bit."""
+    pi_h = inclusion_probs(size_measures(population, design.cluster_kind), design.m)
+    cluster_ids = systematic_pps(pi_h, substream(design.seed, 1))
+    units, pi_cond = [], []
+    for k in cluster_ids:
+        pi_u = inclusion_probs(size_measures(population, design.unit_kind, cluster=k), design.n_k)
+        sel = systematic_pps(pi_u, substream(design.seed, 2, int(k)))
+        units.append(sel)
+        pi_cond.append(pi_u[sel])
+    units = np.concatenate(units)
+    rows = np.repeat(population.offsets[cluster_ids], design.n_k) + units
+    return SampleDraw(cluster_ids=cluster_ids, offsets=design.n_k * np.arange(len(cluster_ids) + 1),
+                      units=units, pi_h=pi_h, pi_cond=np.concatenate(pi_cond),
+                      y=population.y[rows])

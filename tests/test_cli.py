@@ -115,6 +115,25 @@ class TestSimulate:
         assert "error: KeyError" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "{cfg}", "--out", "{out}", "--workers", "{value}"],
+    ["diagnose", "--scenario", "{cfg}", "--out", "{out}", "--balance-replicates", "{value}"],
+    ["estimate", "--data", "{cfg}", "--weights-mode", "double", "--method", "gibbs",
+     "--out", "{out}", "--draws", "{value}"],
+], ids=["workers", "balance-replicates", "draws"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_count_flags_fail_at_parse_time(argv, value, tiny_scenario, tmp_path, capsys):
+    # exit 2 with the flag named, before any output is written
+    out = tmp_path / "results"
+    args = [a.format(cfg=tiny_scenario, out=out, value=value) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be a positive integer, got '{value}'" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDiagnose:
     def test_writes_reports(self, tiny_scenario, tmp_path):
         out = tmp_path / "diag"

@@ -7,8 +7,8 @@ from scipy.stats import chi2_contingency
 
 from svyanova.design import (ClusterDesign, SampleDraw, TwoStageDesign, UnitDesign,
                              WeightMode, build_weights, draw_two_stage_sample,
-                             inclusion_probs, sample_from_csv, sample_to_csv,
-                             size_measures, systematic_pps)
+                             inclusion_probs, inclusion_probs_rows, sample_from_csv,
+                             sample_to_csv, size_measures, systematic_pps)
 from svyanova.errors import DesignError
 from svyanova.popgen import Population, PopulationConfig
 
@@ -102,6 +102,39 @@ class TestInclusionProbs:
         assert abs(pi.sum() - n) < 1e-12 * max(1, n)
         assert np.all(pi <= 1.0)
         assert np.all(pi >= 0.0)
+
+
+class TestInclusionProbsRows:
+    @staticmethod
+    def _assert_rows_match(sizes, n):
+        got = inclusion_probs_rows(sizes, n)
+        for row, pi in zip(sizes, got):
+            assert pi.tobytes() == inclusion_probs(row, n).tobytes()
+        return got
+
+    @given(seed=st.integers(0, 10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_for_bit_per_row(self, seed):
+        # widths on both sides of numpy's 8-wide pairwise-sum unrolling and
+        # block of 128, lognormal sizes heavy enough that many rows cap
+        rng = np.random.default_rng(seed)
+        size = int(rng.choice([1, 3, 7, 8, 9, 16, 40, 127, 128, 129, 300]))
+        n = int(rng.integers(1, size + 1))
+        sizes = rng.lognormal(0.0, rng.uniform(0.0, 3.0), size=(int(rng.integers(1, 12)), size))
+        self._assert_rows_match(sizes, n)
+
+    def test_capped_and_uncapped_rows(self):
+        # row 0 caps in two rounds, row 2 in one, row 1 not at all
+        sizes = np.array([[100.0, 10.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0]])
+        pi = self._assert_rows_match(sizes, 3)
+        np.testing.assert_array_equal(pi, [[1, 1, 0.5, 0.5], [0.75] * 4,
+                                           [1, 2 / 3, 2 / 3, 2 / 3]])
+
+    def test_invalid_input_rejected(self):
+        with pytest.raises(DesignError, match="cannot select n=3 from 2"):
+            inclusion_probs_rows(np.ones((2, 2)), 3)
+        with pytest.raises(DesignError, match="must be positive"):
+            inclusion_probs_rows(np.array([[1.0, 0.0]]), 1)
 
 
 class TestSystematicPps:
@@ -230,18 +263,19 @@ class TestTwoStageSample:
 class TestDesignStreamPin:
     """Sample draws and balance report of one small population with unequal
     cluster sizes under the linear unit designs, pinned exactly: a design
-    layer rewrite that keeps the random streams reproduces them bit for bit."""
+    layer rewrite that keeps the random streams reproduces them bit for bit.
+    The balance values are those of its per-replicate stream (seed, 4, t)."""
 
     POP = PopulationConfig(M=12, N_h=(6, 9, 7, 12, 8, 10, 6, 11, 9, 7, 8, 10), mu0=1.0,
                            sigma_a0=2.0, sigma_eps0=3.0, seed=41)
 
     @pytest.mark.parametrize("unit, first_units, last_units, overall, rep_means", [
-        (UnitDesign.LINEAR, [3, 4, 5, 8], [0, 2, 5, 8], 0.5216702061923789,
-         [-0.022520835272329173, 0.12372983329712184, 1.0612953927147373,
-          0.9241764340299854]),
-        (UnitDesign.WEAK_LINEAR, [2, 3, 4, 5], [2, 5, 7, 8], 0.059211557568816055,
-         [-0.005889740585031944, -0.11987896427599887, 0.4240148331870221,
-          -0.06139989805072707]),
+        (UnitDesign.LINEAR, [3, 4, 5, 8], [0, 2, 5, 8], 0.4968143813285802,
+         [0.15656970157399805, 1.1507137960352936, 0.5685098090984285,
+          0.11146421860660038]),
+        (UnitDesign.WEAK_LINEAR, [2, 3, 4, 5], [2, 5, 7, 8], 0.40517408899288626,
+         [0.2590915148653868, 0.8335322057535004, 0.32939912319512166,
+          0.1986735121575357]),
     ], ids=["linear", "weak_linear"])
     def test_draws_and_balance(self, unit, first_units, last_units, overall, rep_means):
         from svyanova.diagnostics import weighted_residual_balance

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from svyanova import diagnostics
+from svyanova import design, diagnostics
 from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign,
                              WeightMode, WeightSet, build_weights,
                              draw_two_stage_sample, inclusion_probs, size_measures)
@@ -76,13 +76,47 @@ class TestBalance:
         assert np.all(rep.sampling_fraction == 1.0)
 
     def test_non_integer_probability_sum_rejected(self, small_population, monkeypatch):
-        # the sum check runs once per cluster, before that cluster's draws
+        # the sum check runs once per cluster, before any replicate draws
         def off_by_half(sizes, n):
-            return np.full(len(sizes), (n + 0.5) / len(sizes))
+            return np.full(sizes.shape, (n + 0.5) / sizes.shape[1])
 
-        monkeypatch.setattr(diagnostics, "inclusion_probs", off_by_half)
+        def no_draws(*key):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(design, "inclusion_probs_rows", off_by_half)
+        monkeypatch.setattr(diagnostics, "substream", no_draws)
         with pytest.raises(DesignError, match="not an integer"):
             weighted_residual_balance(small_population, _design(UnitDesign.SRS, 5), 3)
+
+    def test_first_order_selection_frequencies_match_pi(self):
+        # the per-replicate stream selects unit j of cluster h with
+        # probability pi_{j|h}: over T replicates its count is Binomial(T, pi),
+        # so the z-scores of all units with 0 < pi < 1 are about N(0, 1);
+        # unequal N_h gives several blocks, and quadratic sizes make some
+        # rows cap
+        sizes = np.random.default_rng(7).integers(4, 13, size=80)
+        pop = generate_population(PopulationConfig(M=80, N_h=tuple(sizes.tolist()), mu0=1.0,
+                                                   sigma_a0=2.0, sigma_eps0=3.0, seed=19))
+        T = 400
+        counts, pi = np.zeros(pop.N), np.zeros(pop.N)
+        for draws in diagnostics._balance_draws(pop, _design(UnitDesign.QUADRATIC, 3), T):
+            for block, sel in draws:
+                counts[block.starts[:, None] + sel] += 1
+                pi[block.starts[:, None] + np.arange(block.pi.shape[1])] = block.pi
+        assert np.any(pi == 1.0)
+        inner = (pi > 0) & (pi < 1)
+        z = (counts[inner] - T * pi[inner]) / np.sqrt(T * pi[inner] * (1 - pi[inner]))
+        assert abs(z.mean()) < 0.1
+        assert 0.9 < z.std() < 1.1
+        np.testing.assert_array_equal(counts[pi == 1.0], T)
+
+    def test_unit_order_is_the_stable_argsort(self):
+        keys = np.random.default_rng(3).random((50, 40))
+        keys[7, [3, 9, 30]] = keys[7, 12]  # ties are ordered by position
+        keys[8] = 0.5
+        for rows in (keys, keys[:7]):
+            np.testing.assert_array_equal(diagnostics._stable_order(rows),
+                                          np.argsort(rows, axis=1, kind="stable"))
 
     def test_replicate_count_validated(self, medium_population):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ Each per-unit quantity is stored once, flat in cluster order, with cluster
 offsets; the per-cluster views, the per-cluster sums and the sample CSV
 must all agree with that one representation, including on census samples,
 a single cluster, fully sampled clusters (every pi capped at 1), unequal
-cluster sizes and every weight mode.  Every estimator run on such a sample
+cluster sizes and every weight mode.  The row-wise draw itself equals the
+per-cluster reference draw bit for bit.  Every estimator run on such a sample
 gives finite values or a PosteriorError, and a harness replicate on such a
 design gives finite cells or NaN cells whose error is reported.
 """
@@ -24,6 +25,8 @@ from svyanova.harness import ESTIMATORS, Scenario, run_scenario
 from svyanova.inference import (ChainConfig, PriorConfig, _suffstats, map_estimate,
                                 posterior_means, run_gibbs, run_integrated_mcmc)
 from svyanova.popgen import PopulationConfig, generate_population
+
+from helpers import reference_two_stage_sample
 
 
 @st.composite
@@ -60,6 +63,7 @@ EDGE_EXAMPLES = [
     _edge(M=3, N_h=(3, 6, 4), m=3, n_k=3, normalize=False),         # n_k = N_h in cluster 0
     _edge(M=5, N_h=(6, 6, 6, 6, 6), m=4, n_k=5,                     # heavy capping
           unit=UnitDesign.SYMMETRIC_QUADRATIC),
+    _edge(M=4, N_h=(3, 5, 2, 6), m=3, n_k=1, unit=UnitDesign.LINEAR),  # n_k = 1
 ]
 
 
@@ -85,6 +89,35 @@ def test_views_reassemble_flat_arrays(spec):
     for k, units, y in zip(sample.cluster_ids, sample.unit_ids, sample.y_s):
         assert np.all(np.diff(units) > 0)
         np.testing.assert_array_equal(y, pop.y[pop.offsets[k] + units])
+
+
+def _assert_same_sample(pop, design):
+    got, want = draw_two_stage_sample(pop, design), reference_two_stage_sample(pop, design)
+    for name in ("cluster_ids", "offsets", "units", "pi_h", "pi_cond", "y"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@_with_examples
+@given(spec=edge_designs())
+@settings(max_examples=100, deadline=None)
+def test_draw_equals_per_cluster_reference(spec):
+    pop, _, _ = _draw(spec)
+    _assert_same_sample(pop, TwoStageDesign(spec["cluster"], spec["unit"], m=spec["m"],
+                                            n_k=spec["n_k"], seed=spec["seed"] + 1))
+
+
+@pytest.mark.parametrize("unit", list(UnitDesign))
+@pytest.mark.parametrize("m, n_k", [(9, 4), (1, 1), (9, 1), (4, 3)])
+def test_draw_equals_per_cluster_reference_each_unit_design(unit, m, n_k):
+    # unequal N_h, with n_k = N_h in cluster 1 (every pi capped at 1) at
+    # n_k = 4, capping within larger clusters, census and single clusters
+    pop = generate_population(PopulationConfig(
+        M=9, N_h=(7, 4, 12, 5, 9, 40, 6, 11, 4), mu0=1.0, sigma_a0=2.0, sigma_eps0=3.0,
+        seed=23))
+    for seed in range(5):
+        _assert_same_sample(pop, TwoStageDesign(ClusterDesign.QUADRATIC_SYMMETRIC, unit,
+                                                m=m, n_k=n_k, seed=seed))
 
 
 @_with_examples

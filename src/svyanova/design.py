@@ -8,14 +8,17 @@ Population constants in the size formulas (the noise minimum of the
 linear unit designs) are computed once per population.  Stage 2 is one
 array program over the selected clusters: ``unit_blocks`` builds the
 inclusion probabilities of clusters of equal size as the rows of one
-matrix, and ``select_rows`` makes the systematic selection of every row
-at once.  Only the random numbers are drawn per cluster, each selected
-cluster k from the substream keyed by (seed, 2, k), so a cluster's draw
-does not depend on which other clusters were selected.  Weights invert
-the realized inclusion probabilities and are optionally normalized so the
-pseudo-likelihood's effective sample size equals the realized sample
-size.  Samples and weights hold each per-unit quantity once, as a flat
-array in cluster order with cluster offsets.
+matrix, and ``select_units`` makes the systematic selection of every row
+at once.  Its random numbers come from one generator, the substream
+keyed by (seed, 2): a uniform key per population unit, whose stable
+argsort within a cluster is that cluster's randomized order, then a
+start point per population cluster.  Both are indexed by population id,
+so a cluster's draw does not depend on which other clusters were
+selected.  Weights invert the realized inclusion probabilities and are
+optionally normalized so the pseudo-likelihood's effective sample size
+equals the realized sample size.  Samples and weights hold each
+per-unit quantity once, as a flat array in cluster order with cluster
+offsets.
 """
 
 from __future__ import annotations
@@ -189,53 +192,46 @@ def inclusion_probs(sizes: np.ndarray, n: int) -> np.ndarray:
     Starts from ``pi_i = n * s_i / sum(s)``; any ``pi_i > 1`` is capped at 1
     and the remaining budget is redistributed proportionally among uncapped
     elements until all probabilities are <= 1.  The result sums to ``n``.
-    """
-    sizes = np.asarray(sizes, dtype=float)
-    if n < 1 or n > sizes.size:
-        raise DesignError(f"cannot select n={n} from {sizes.size} elements")
-    if np.any(sizes <= 0):
-        raise DesignError("size measures must be positive")
-    pi = np.zeros(sizes.size)
-    capped = np.zeros(sizes.size, dtype=bool)
-    while True:
-        free = ~capped
-        budget = n - int(capped.sum())
-        pi[free] = budget * sizes[free] / sizes[free].sum() if budget > 0 else 0.0
-        over = free & (pi > 1.0)
-        if not over.any():
-            break
-        pi[over] = 1.0
-        capped |= over
-    return pi
-
-
-def inclusion_probs_rows(sizes: np.ndarray, n: int) -> np.ndarray:
-    """``inclusion_probs(sizes[i], n)`` for every row i of a size matrix,
-    bit for bit.
-
-    The uncapped first pass runs on all rows at once: a sum along the last
-    axis of a C-contiguous matrix is the same pairwise sum as the 1-D sum
-    of the row.  Only the rows with a probability above 1 go through the
-    capping loop of ``inclusion_probs``.
+    ``sizes`` may be a vector or a matrix, whose rows are treated
+    separately: row i of the result is ``inclusion_probs(sizes[i], n)``
+    bit for bit, since a sum along the last axis of a C-contiguous matrix
+    is the same pairwise sum as the 1-D sum of the row.  The uncapped
+    first pass runs on all rows at once; only the rows with a probability
+    above 1 go through the capping loop.
     """
     sizes = np.ascontiguousarray(sizes, dtype=float)
-    if n < 1 or n > sizes.shape[1]:
-        raise DesignError(f"cannot select n={n} from {sizes.shape[1]} elements")
+    width = sizes.shape[-1]
+    if n < 1 or n > width:
+        raise DesignError(f"cannot select n={n} from {width} elements")
+    finite = np.isfinite(sizes)
+    if not finite.all():
+        raise DesignError(f"size measures must be finite, got {sizes[~finite][0]}")
     if np.any(sizes <= 0):
         raise DesignError("size measures must be positive")
-    pi = n * sizes / sizes.sum(axis=1, keepdims=True)
-    for i in np.flatnonzero((pi > 1.0).any(axis=1)):
-        pi[i] = inclusion_probs(sizes[i], n)
+    pi = n * sizes / sizes.sum(axis=-1, keepdims=True)
+    rows, size_rows = pi.reshape(-1, width), sizes.reshape(-1, width)
+    for i in np.flatnonzero((rows > 1.0).any(axis=1)):
+        row, s = rows[i], size_rows[i]
+        capped = np.zeros(width, dtype=bool)
+        while (over := ~capped & (row > 1.0)).any():
+            row[over] = 1.0
+            capped |= over
+            free = ~capped
+            budget = n - int(capped.sum())
+            row[free] = budget * s[free] / s[free].sum() if budget > 0 else 0.0
     return pi
 
 
 def pps_sample_size(pi: np.ndarray):
     """Validate inclusion probabilities for systematic PPS; return n = sum(pi).
 
-    Raises DesignError unless every ``pi`` lies in [0, 1] and the sum is an
-    integer (within 1e-9).  A matrix is validated row by row, and the sum
-    of each row is returned as an integer array.
+    Raises DesignError unless every ``pi`` is finite and lies in [0, 1]
+    and the sum is an integer (within 1e-9).  A matrix is validated row by
+    row, and the sum of each row is returned as an integer array.
     """
+    finite = np.isfinite(pi)
+    if not finite.all():
+        raise DesignError(f"inclusion probabilities must be finite, got {pi[~finite][0]}")
     total = np.asarray(pi.sum(axis=-1))
     n = np.rint(total)
     off = np.abs(total - n) > _SUM_TOL
@@ -268,32 +264,11 @@ def systematic_pps(pi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return sel
 
 
-def select_rows(pi: np.ndarray, n: int, perm: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The selection of ``systematic_pps`` on every row of ``pi`` at once.
-
-    Row i is ordered by ``perm[i]`` and starts at ``u[i]``; its result is
-    what ``systematic_pps(pi[i], rng)`` returns when ``rng`` draws
-    ``perm[i]`` and then ``u[i]``, bit for bit.  ``pi`` must already be
-    validated, with every row summing to ``n``.  Returns the (r, n)
-    selected indices, each row sorted.
-    """
-    # transposed, so that the scan and the compares below run along rows
-    # of r contiguous values; cum[j, i] is the same sequential sum as the
-    # 1-D cumsum of row i
-    cum = np.ascontiguousarray(np.take_along_axis(pi, perm, axis=1).T).cumsum(axis=0)
-    points = u + np.arange(n)[:, None]
-    # searchsorted(side="right") of each point in its row: the number of
-    # cumulative sums <= the point, as an exact compare
-    pos = np.stack([(cum <= p).sum(axis=0) for p in points], axis=1)
-    sel = np.take_along_axis(perm, np.minimum(pos, pi.shape[1] - 1), axis=1)
-    sel.sort(axis=1)
-    return sel
-
-
 class UnitBlock(NamedTuple):
     """Stage-2 inclusion probabilities of clusters of one size N_h, as rows."""
 
     rows: np.ndarray               # (r,) positions of these clusters in ``clusters``
+    clusters: np.ndarray           # (r,) population index of each cluster
     starts: np.ndarray             # (r,) population index of each cluster's first unit
     pi: np.ndarray                 # (r, N_h) validated pi_{j|k} of the clusters' units
 
@@ -318,19 +293,65 @@ def unit_blocks(population: Population, kind: UnitDesign, n: int,
         for rows in np.split(same, range(step, len(same), step)):
             starts = population.offsets[clusters[rows]]
             eps = population.eps0[starts[:, None] + np.arange(size)]
-            pi = inclusion_probs_rows(_unit_sizes(eps, kind, population.eps_min), n)
+            pi = inclusion_probs(_unit_sizes(eps, kind, population.eps_min), n)
             pps_sample_size(pi)
-            blocks.append(UnitBlock(rows, starts, pi))
+            blocks.append(UnitBlock(rows, clusters[rows], starts, pi))
     return blocks
+
+
+def select_units(population: Population, blocks: list[UnitBlock], n: int,
+                 rng: np.random.Generator) -> list[tuple[UnitBlock, np.ndarray]]:
+    """Randomized-order systematic PPS selection of ``n`` units from every
+    cluster of ``blocks``, all from ``rng``.
+
+    ``rng`` draws one uniform key per population unit, in flat cluster
+    order, then one start point per population cluster.  Cluster k is
+    ordered by the stable argsort of its own keys and starts at point
+    ``u[k]``; within that order the selection is that of
+    ``systematic_pps``.  Keys and start points are indexed by population
+    id, so a cluster's units do not depend on which other clusters the
+    blocks hold.  Returns ``(block, sel)`` per block, where ``sel[i]``
+    holds the n sorted positions drawn within cluster ``block.clusters[i]``.
+    """
+    keys, u = rng.random(population.N), rng.random(population.M)
+    draws = []
+    for block in blocks:
+        width = block.pi.shape[1]
+        order = _stable_order(keys[block.starts[:, None] + np.arange(width)])
+        # transposed, so that the scan and the compares below run along rows
+        # of r contiguous values; cum[j, i] is the same sequential sum as the
+        # 1-D cumsum of row i
+        cum = np.ascontiguousarray(np.take_along_axis(block.pi, order, axis=1).T).cumsum(axis=0)
+        points = u[block.clusters] + np.arange(n)[:, None]
+        # searchsorted(side="right") of each point in its row: the number of
+        # cumulative sums <= the point, as an exact compare
+        pos = np.stack([(cum <= p).sum(axis=0) for p in points], axis=1)
+        sel = np.take_along_axis(order, np.minimum(pos, width - 1), axis=1)
+        sel.sort(axis=1)
+        draws.append((block, sel))
+    return draws
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, axis=1, kind="stable")``.  Uniform keys within a
+    row are distinct with probability 1 - O(N_h^2 / 2^53), and then every
+    sort gives that order; the default sort is twice as fast, so it runs
+    first and the stable one only on a tie."""
+    order = np.argsort(keys, axis=1)
+    ranked = np.take_along_axis(keys, order, axis=1)
+    if (ranked[:, 1:] == ranked[:, :-1]).any():
+        order = np.argsort(keys, axis=1, kind="stable")
+    return order
 
 
 def draw_two_stage_sample(population: Population, design: TwoStageDesign) -> SampleDraw:
     """Draw clusters then units, each by capped-PPS + systematic selection.
 
-    Stage 2 runs on an RNG substream per selected cluster, keyed by the
-    population cluster id, so per-cluster draws do not depend on which
-    other clusters were selected; its arithmetic runs on all selected
-    clusters at once (``unit_blocks``, ``select_rows``).
+    Stage 1 draws from the substream keyed by (seed, 1), stage 2 from the
+    one keyed by (seed, 2) through ``select_units``, which keys each
+    cluster's random numbers by its population id, so a cluster's units
+    do not depend on which other clusters were selected.  Stage 2's
+    arithmetic runs on all selected clusters at once (``unit_blocks``).
     """
     if not 1 <= design.m <= population.M:
         raise DesignError(f"m={design.m} invalid for M={population.M}")
@@ -340,12 +361,8 @@ def draw_two_stage_sample(population: Population, design: TwoStageDesign) -> Sam
     cluster_ids = systematic_pps(pi_h, substream(design.seed, 1))
     shape = (len(cluster_ids), design.n_k)
     units, pi_cond, y = np.empty(shape, dtype=np.intp), np.empty(shape), np.empty(shape)
-    for block in unit_blocks(population, design.unit_kind, design.n_k, cluster_ids):
-        rngs = [substream(design.seed, 2, int(k)) for k in cluster_ids[block.rows]]
-        # each stream draws its permutation, then its start point
-        perm = np.array([rng.permutation(block.pi.shape[1]) for rng in rngs])
-        u = np.array([rng.uniform() for rng in rngs])
-        sel = select_rows(block.pi, design.n_k, perm, u)
+    blocks = unit_blocks(population, design.unit_kind, design.n_k, cluster_ids)
+    for block, sel in select_units(population, blocks, design.n_k, substream(design.seed, 2)):
         units[block.rows] = sel
         pi_cond[block.rows] = np.take_along_axis(block.pi, sel, axis=1)
         y[block.rows] = population.y[block.starts[:, None] + sel]

@@ -4,8 +4,9 @@ The balance diagnostic Monte-Carlo estimates the expected within-cluster
 weighted residual mean (the quantity that must vanish for the random
 effects scale to be estimable).  It builds and validates every cluster's
 inclusion probabilities once, then draws replicate t of all clusters at
-once from the one substream keyed by (seed, 4, t), through the same
-row-wise selection as the sample draw; the bounds report gives empirical
+once through the sample draw's unit selection (``select_units``), from
+the substream keyed by (seed, 4, t) where the sample draw's stage 2 uses
+(seed, 2); the bounds report gives empirical
 analogues of the weight/sampling-fraction bounds; the informativeness
 summary pairs population and sample quantiles of the latents.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .csvio import write_csv
-from .design import SampleDraw, TwoStageDesign, WeightSet, select_rows, unit_blocks
+from .design import SampleDraw, TwoStageDesign, WeightSet, select_units, unit_blocks
 # Unused here; svybench/workloads.py traces these module attributes.
 from .design import inclusion_probs, size_measures, systematic_pps  # noqa: F401
 from .popgen import Population
@@ -86,40 +87,6 @@ class BoundsReport:
         return asdict(self)
 
 
-def _balance_draws(population: Population, design: TwoStageDesign, n_replicates: int):
-    """Yield, for each replicate t, ``(block, sel)`` for every block of
-    ``unit_blocks`` over all M population clusters: ``sel[i]`` holds the
-    n_k units drawn from cluster ``block.rows[i]``, as sorted positions
-    within it.
-
-    Replicate t draws from the substream keyed by (seed, 4, t): first one
-    uniform key per population unit, in flat cluster order, whose stable
-    argsort within each cluster is that cluster's randomized order; then
-    one start point per cluster.
-    """
-    blocks = unit_blocks(population, design.unit_kind, design.n_k, np.arange(population.M))
-    for t in range(n_replicates):
-        rng = substream(design.seed, 4, t)
-        keys, u = rng.random(population.N), rng.random(population.M)
-        draws = []
-        for block in blocks:
-            order = _stable_order(keys[block.starts[:, None] + np.arange(block.pi.shape[1])])
-            draws.append((block, select_rows(block.pi, design.n_k, order, u[block.rows])))
-        yield draws
-
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, axis=1, kind="stable")``.  Uniform keys within a
-    row are distinct with probability 1 - O(N_h^2 / 2^53), and then every
-    sort gives that order; the default sort is twice as fast, so it runs
-    first and the stable one only on a tie."""
-    order = np.argsort(keys, axis=1)
-    ranked = np.take_along_axis(keys, order, axis=1)
-    if (ranked[:, 1:] == ranked[:, :-1]).any():
-        order = np.argsort(keys, axis=1, kind="stable")
-    return order
-
-
 def weighted_residual_balance(population: Population, design: TwoStageDesign,
                               n_replicates: int) -> BalanceReport:
     """Monte Carlo estimate of the expected weighted residual mean.
@@ -131,7 +98,7 @@ def weighted_residual_balance(population: Population, design: TwoStageDesign,
 
     Each cluster's ``pi`` is built and validated once, before any draw.
     Replicate t then draws all clusters at once from the substream keyed
-    by (seed, 4, t) (``_balance_draws``); ``per_cluster[h]`` averages
+    by (seed, 4, t) (``select_units``); ``per_cluster[h]`` averages
     cluster h's statistic over the replicates and ``replicate_means[t]``
     averages replicate t's over the clusters.
     """
@@ -140,8 +107,10 @@ def weighted_residual_balance(population: Population, design: TwoStageDesign,
     M = population.M
     per_cluster, stat = np.zeros(M), np.empty(M)
     rep_means = np.empty(n_replicates)
-    for t, draws in enumerate(_balance_draws(population, design, n_replicates)):
-        for block, sel in draws:
+    blocks = unit_blocks(population, design.unit_kind, design.n_k, np.arange(M))
+    for t in range(n_replicates):
+        for block, sel in select_units(population, blocks, design.n_k,
+                                       substream(design.seed, 4, t)):
             w = 1.0 / np.take_along_axis(block.pi, sel, axis=1)
             eps = population.eps0[block.starts[:, None] + sel]
             stat[block.rows] = (w * eps).sum(axis=1) / w.sum(axis=1)

@@ -176,17 +176,25 @@ def census_sample(population) -> SampleDraw:
 
 
 def reference_two_stage_sample(population: Population, design: TwoStageDesign) -> SampleDraw:
-    """The two-stage draw cluster by cluster: for each selected cluster k,
-    ``inclusion_probs`` of its unit size measures and ``systematic_pps`` on
-    the substream keyed by (seed, 2, k).  It shares no stage-2 arithmetic
-    with ``draw_two_stage_sample``'s row-wise kernel, so it checks that
-    kernel independently; the two must agree bit for bit."""
+    """The two-stage draw cluster by cluster.  Stage 2 draws from the
+    substream keyed by (seed, 2) one uniform key per population unit, then
+    one start point per population cluster; selected cluster k takes
+    ``inclusion_probs`` of its unit size measures, orders them by the
+    stable argsort of its own keys and selects systematically from start
+    point ``u[k]``.  It shares no stage-2 arithmetic with
+    ``draw_two_stage_sample``'s row-wise kernel, so it checks that kernel
+    independently; the two must agree bit for bit."""
     pi_h = inclusion_probs(size_measures(population, design.cluster_kind), design.m)
     cluster_ids = systematic_pps(pi_h, substream(design.seed, 1))
+    rng = substream(design.seed, 2)
+    keys, u = rng.random(population.N), rng.random(population.M)
     units, pi_cond = [], []
     for k in cluster_ids:
         pi_u = inclusion_probs(size_measures(population, design.unit_kind, cluster=k), design.n_k)
-        sel = systematic_pps(pi_u, substream(design.seed, 2, int(k)))
+        order = np.argsort(keys[population.offsets[k]:population.offsets[k + 1]], kind="stable")
+        cum = pi_u[order].cumsum()
+        pos = cum.searchsorted(u[k] + np.arange(design.n_k), side="right")
+        sel = np.sort(order[np.minimum(pos, pi_u.size - 1)])
         units.append(sel)
         pi_cond.append(pi_u[sel])
     units = np.concatenate(units)

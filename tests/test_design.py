@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
+from svyanova import design as design_module
 from svyanova.design import (ClusterDesign, SampleDraw, TwoStageDesign, UnitDesign,
                              WeightMode, build_weights, draw_two_stage_sample,
-                             inclusion_probs, inclusion_probs_rows, sample_from_csv,
+                             inclusion_probs, sample_from_csv,
                              sample_to_csv, size_measures, systematic_pps)
 from svyanova.errors import DesignError
 from svyanova.popgen import Population, PopulationConfig
+from svyanova.rng import substream
 
 from helpers import census_sample
 
@@ -87,9 +89,16 @@ class TestInclusionProbs:
     def test_census(self):
         np.testing.assert_allclose(inclusion_probs([3.0, 0.1, 9.0], 3), [1, 1, 1])
 
-    def test_oversized_n_rejected(self):
-        with pytest.raises(DesignError):
-            inclusion_probs([1.0, 1.0], 3)
+    @pytest.mark.parametrize("sizes, n, message", [
+        ([1.0, 1.0], 3, "cannot select n=3 from 2"),
+        ([1.0, 0.0, 1.0], 1, "size measures must be positive"),
+        ([np.nan, 1.0, 1.0], 1, "size measures must be finite, got nan"),
+        ([np.inf, 1.0, 1.0], 1, "size measures must be finite, got inf"),
+        ([1.0, -np.inf, 1.0], 2, "size measures must be finite, got -inf"),
+    ], ids=["oversized-n", "zero", "nan", "inf", "minus-inf"])
+    def test_invalid_input_rejected(self, sizes, n, message):
+        with pytest.raises(DesignError, match=message):
+            inclusion_probs(np.array(sizes), n)
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=50, deadline=None)
@@ -107,7 +116,7 @@ class TestInclusionProbs:
 class TestInclusionProbsRows:
     @staticmethod
     def _assert_rows_match(sizes, n):
-        got = inclusion_probs_rows(sizes, n)
+        got = inclusion_probs(sizes, n)
         for row, pi in zip(sizes, got):
             assert pi.tobytes() == inclusion_probs(row, n).tobytes()
         return got
@@ -132,9 +141,11 @@ class TestInclusionProbsRows:
 
     def test_invalid_input_rejected(self):
         with pytest.raises(DesignError, match="cannot select n=3 from 2"):
-            inclusion_probs_rows(np.ones((2, 2)), 3)
+            inclusion_probs(np.ones((2, 2)), 3)
         with pytest.raises(DesignError, match="must be positive"):
-            inclusion_probs_rows(np.array([[1.0, 0.0]]), 1)
+            inclusion_probs(np.array([[1.0, 1.0], [1.0, 0.0]]), 1)
+        with pytest.raises(DesignError, match="must be finite, got nan"):
+            inclusion_probs(np.array([[1.0, 1.0], [np.nan, 1.0]]), 1)
 
 
 class TestSystematicPps:
@@ -142,9 +153,16 @@ class TestSystematicPps:
         for _ in range(5):
             assert list(systematic_pps(np.array([1.0, 1.0]), rng)) == [0, 1]
 
-    def test_noninteger_sum_rejected(self, rng):
-        with pytest.raises(DesignError):
-            systematic_pps(np.array([0.5, 0.4]), rng)
+    @pytest.mark.parametrize("pi, message", [
+        ([0.5, 0.4], "sum to 0.9, not an integer"),
+        ([1.5, 0.5], r"must lie in \[0, 1\]"),
+        ([np.nan, 0.5, 0.5], "inclusion probabilities must be finite, got nan"),
+        ([np.inf, 0.5, 0.5], "inclusion probabilities must be finite, got inf"),
+        ([0.5, 0.5, -np.inf], "inclusion probabilities must be finite, got -inf"),
+    ], ids=["noninteger-sum", "above-one", "nan", "inf", "minus-inf"])
+    def test_invalid_probabilities_rejected(self, rng, pi, message):
+        with pytest.raises(DesignError, match=message):
+            systematic_pps(np.array(pi), rng)
 
     def test_first_order_fidelity_uniform(self):
         pi = np.array([0.5, 0.5, 0.5, 0.5])
@@ -259,21 +277,47 @@ class TestTwoStageSample:
         _, p, _, _ = chi2_contingency(table)
         assert p > 1e-3
 
+    def test_cluster_units_do_not_depend_on_m(self, medium_population, monkeypatch):
+        # stage 2 keys every cluster's random numbers by its population id
+        # in one stream, so a cluster selected under two designs that differ
+        # only in m gets the same units; each draw makes two substreams
+        calls = []
+
+        def counted(*key):
+            calls.append(key)
+            return substream(*key)
+
+        monkeypatch.setattr(design_module, "substream", counted)
+        units = {}
+        for m in (1, 10, 40, medium_population.M):
+            calls.clear()
+            design = TwoStageDesign(ClusterDesign.QUADRATIC_SYMMETRIC, UnitDesign.LINEAR,
+                                    m=m, n_k=5, seed=23)
+            sample = draw_two_stage_sample(medium_population, design)
+            assert calls == [(23, 1), (23, 2)]
+            units[m] = dict(zip(sample.cluster_ids.tolist(), sample.unit_ids))
+        # m = M selects every cluster
+        for m in (1, 10, 40):
+            for k, sel in units[m].items():
+                np.testing.assert_array_equal(sel, units[medium_population.M][k])
+
 
 class TestDesignStreamPin:
     """Sample draws and balance report of one small population with unequal
     cluster sizes under the linear unit designs, pinned exactly: a design
     layer rewrite that keeps the random streams reproduces them bit for bit.
-    The balance values are those of its per-replicate stream (seed, 4, t)."""
+    The sample's clusters come from the stream (seed, 1), its units from
+    the one stream (seed, 2), and the balance values from the
+    per-replicate stream (seed, 4, t)."""
 
     POP = PopulationConfig(M=12, N_h=(6, 9, 7, 12, 8, 10, 6, 11, 9, 7, 8, 10), mu0=1.0,
                            sigma_a0=2.0, sigma_eps0=3.0, seed=41)
 
     @pytest.mark.parametrize("unit, first_units, last_units, overall, rep_means", [
-        (UnitDesign.LINEAR, [3, 4, 5, 8], [0, 2, 5, 8], 0.4968143813285802,
+        (UnitDesign.LINEAR, [0, 1, 3, 4], [1, 2, 5, 6], 0.4968143813285802,
          [0.15656970157399805, 1.1507137960352936, 0.5685098090984285,
           0.11146421860660038]),
-        (UnitDesign.WEAK_LINEAR, [2, 3, 4, 5], [2, 5, 7, 8], 0.40517408899288626,
+        (UnitDesign.WEAK_LINEAR, [0, 1, 4, 7], [1, 2, 5, 6], 0.40517408899288626,
          [0.2590915148653868, 0.8335322057535004, 0.32939912319512166,
           0.1986735121575357]),
     ], ids=["linear", "weak_linear"])

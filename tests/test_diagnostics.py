@@ -15,6 +15,7 @@ from svyanova.diagnostics import (bounds_report, informativeness_summary,
 from svyanova.errors import DesignError
 from svyanova.inference import ChainConfig, DrawsMatrix, PriorConfig, run_gibbs
 from svyanova.popgen import PopulationConfig, generate_population
+from svyanova.rng import substream
 
 from helpers import census_sample
 
@@ -83,13 +84,13 @@ class TestBalance:
         def no_draws(*key):
             raise AssertionError("drew before validating")
 
-        monkeypatch.setattr(design, "inclusion_probs_rows", off_by_half)
+        monkeypatch.setattr(design, "inclusion_probs", off_by_half)
         monkeypatch.setattr(diagnostics, "substream", no_draws)
         with pytest.raises(DesignError, match="not an integer"):
             weighted_residual_balance(small_population, _design(UnitDesign.SRS, 5), 3)
 
     def test_first_order_selection_frequencies_match_pi(self):
-        # the per-replicate stream selects unit j of cluster h with
+        # the balance's stream (seed, 4, t) selects unit j of cluster h with
         # probability pi_{j|h}: over T replicates its count is Binomial(T, pi),
         # so the z-scores of all units with 0 < pi < 1 are about N(0, 1);
         # unequal N_h gives several blocks, and quadratic sizes make some
@@ -99,8 +100,9 @@ class TestBalance:
                                                    sigma_a0=2.0, sigma_eps0=3.0, seed=19))
         T = 400
         counts, pi = np.zeros(pop.N), np.zeros(pop.N)
-        for draws in diagnostics._balance_draws(pop, _design(UnitDesign.QUADRATIC, 3), T):
-            for block, sel in draws:
+        blocks = design.unit_blocks(pop, UnitDesign.QUADRATIC, 3, np.arange(pop.M))
+        for t in range(T):
+            for block, sel in design.select_units(pop, blocks, 3, substream(0, 4, t)):
                 counts[block.starts[:, None] + sel] += 1
                 pi[block.starts[:, None] + np.arange(block.pi.shape[1])] = block.pi
         assert np.any(pi == 1.0)
@@ -115,7 +117,7 @@ class TestBalance:
         keys[7, [3, 9, 30]] = keys[7, 12]  # ties are ordered by position
         keys[8] = 0.5
         for rows in (keys, keys[:7]):
-            np.testing.assert_array_equal(diagnostics._stable_order(rows),
+            np.testing.assert_array_equal(design._stable_order(rows),
                                           np.argsort(rows, axis=1, kind="stable"))
 
     def test_replicate_count_validated(self, medium_population):

@@ -1,11 +1,13 @@
-"""In-process timings of the design layer, recorded in BENCH_design.json.
+"""In-process timings of the design layer and of one replicate.
 
-    PYTHONPATH=src python scripts/layer_timings.py --label change
+    PYTHONPATH=src python scripts/layer_timings.py --label change [--out BENCH_design.json]
 
 Times, as the minimum of 7 runs after one warm-up run:
 
 - ``draw_two_stage_sample`` on replicate 0 of each study-1 desk scenario
   (m = 50, 200, 800);
+- ``harness._run_replicate`` on replicate 1 of each study-1 desk scenario:
+  population, sample, weights and all five estimators;
 - ``weighted_residual_balance`` with 20 replicates on the two study-2
   desk scenarios of the benchmark's diagnose-balance slice (M = 1000,
   quadratic n_k = 5 and linear n_k = 10), on the population and design
@@ -31,7 +33,7 @@ import numpy as np
 import svyanova
 from svyanova.design import draw_two_stage_sample
 from svyanova.diagnostics import weighted_residual_balance
-from svyanova.harness import load_scenarios, replicate_configs
+from svyanova.harness import _run_replicate, load_scenarios, replicate_configs
 from svyanova.popgen import generate_population
 
 REPEATS = 7
@@ -58,6 +60,7 @@ def timings() -> dict:
         pop = generate_population(pop_cfg)
         out[f"draw_two_stage_sample.m{design.m}_ms"] = min_ms(
             lambda: draw_two_stage_sample(pop, design))
+        out[f"_run_replicate.m{design.m}_ms"] = min_ms(lambda: _run_replicate(scen, 1))
     total = 0.0
     for scen in load_scenarios(SCENARIOS / "paper-study2.cfg", desk=True):
         design = scen.design

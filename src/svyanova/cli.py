@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -94,11 +95,21 @@ def _cmd_simulate(args) -> int:
             os.makedirs(sdir, exist_ok=True)
             with open(os.path.join(sdir, "report.json"), "w", encoding="utf-8") as fh:
                 json.dump(report_to_json(res), fh, indent=2)
-            print(f"{res.scenario.scenario_id}: R={res.R} done in {res.wall_time:.1f}s")
+            z = _max_abs_z(res)
+            print(f"{res.scenario.scenario_id}: R={res.R} done in {res.wall_time:.1f}s"
+                  + (f", max |z| {z:.2f}" if z is not None else ""))
         else:
             failed += 1
             print(f"{res.scenario_id}: FAILED ({res.error})", file=sys.stderr)
     return 1 if failed else 0
+
+
+def _max_abs_z(report: ReplicationReport) -> float | None:
+    """Largest finite |z| of the double_integrated draw means against the
+    exact means, over the replicates; None when there is none."""
+    zs = [abs(z) for diag in report.diagnostics
+          for z in diag.get("double_integrated", {}).get("z", {}).values() if math.isfinite(z)]
+    return max(zs, default=None)
 
 
 def _cmd_diagnose(args) -> int:

@@ -2,10 +2,25 @@
 
 Each replicate generates its own population and sample on seeds split from
 the scenario's base seed, runs every requested estimator on the identical
-sample, and records point estimates (posterior means for the sampling routes,
-the argmax for MAP).  Aggregation reports empirical 5/50/95% quantiles per
-estimator and parameter.  Reports are deterministic functions of the
-scenario, regardless of worker count.
+sample, and records one point estimate per parameter:
+
+* ``equal_gibbs``, ``single_gibbs`` and ``double_gibbs``: the exact
+  pseudo-posterior mean under that weight mode, by quadrature over the
+  collapsed grid (``posterior_means``).  It is the value the augmented
+  sampler ``run_gibbs`` estimates, without its Monte Carlo noise; the
+  names stay because the acceptance criteria use them;
+* ``double_integrated``: the mean of ``chain.n_draws`` i.i.d. draws
+  (``run_integrated_mcmc``), kept as a live cross-check of the exact mean:
+  its diagnostics carry the Monte Carlo standard error sd/sqrt(n) and the
+  z-score (draw mean - exact mean)/mcse of each parameter;
+* ``double_map``: the posterior mode (``map_estimate``).
+
+The estimators of one weight mode share one ``_Posterior``: the weighted
+sums are taken once, and the grid is built once, when a grid estimator
+first needs it.  A failure of that grid fails only the grid estimators;
+``double_map`` reads the sums alone.  Aggregation reports empirical
+5/50/95% quantiles per estimator and parameter.  Reports are deterministic
+functions of the scenario, regardless of worker count.
 """
 
 from __future__ import annotations
@@ -25,8 +40,10 @@ from .csvio import write_csv
 from .design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                      build_weights, draw_two_stage_sample)
 from .errors import ConfigError, require_int
-from .inference import (ChainConfig, PriorConfig, PARAM_NAMES, map_estimate, run_gibbs,
-                        run_integrated_mcmc)
+from .inference import ChainConfig, PriorConfig, PARAM_NAMES, _Posterior
+# Not called here any more; svybench/workloads.py patches these names on
+# this module to trace them.
+from .inference import map_estimate, run_gibbs, run_integrated_mcmc  # noqa: F401
 from .popgen import PopulationConfig, generate_population
 from .rng import derive_seed
 
@@ -129,23 +146,30 @@ def _run_replicate(scenario: Scenario, r: int) -> tuple[int, dict, dict, dict]:
             for p in PARAM_NAMES:
                 estimates[(est, p)] = math.nan
         return r, estimates, diags, failures
-    # estimators share the replicate's chain seed (common random numbers)
+    # double_integrated draws on the replicate's chain seed; the estimators
+    # of one weight mode share one posterior, its sums and its grid
     chain = replace(scenario.chain, seed=derive_seed(scenario.base_seed, _CHAIN, r))
+    posteriors = {}
     for est in scenario.estimators:
-        weights = weight_sets[_MODE_OF[est]]
+        mode = _MODE_OF[est]
         try:
+            if mode not in posteriors:
+                posteriors[mode] = _Posterior(sample, weight_sets[mode], scenario.priors)
+            post = posteriors[mode]
             if est == "double_map":
-                theta, loglik, converged = map_estimate(sample, weights, scenario.priors)
+                theta, loglik, converged = post.mode()
                 point = {"b0": theta.mu, "sigma_a": theta.sigma_a,
                          "sigma_eps": theta.sigma_eps}
                 diags[est] = {"converged": converged, "loglik": loglik,
                               "acceptance_rate": None}
-            else:
-                runner = run_integrated_mcmc if est == "double_integrated" else run_gibbs
-                draws = runner(sample, weights, scenario.priors, chain)
+            elif est == "double_integrated":
+                draws = post.integrated_draws(chain)
                 point = draws.point_estimates()
-                diags[est] = {"converged": True,
-                              "acceptance_rate": draws.acceptance_rate}
+                diags[est] = {"converged": True, "acceptance_rate": draws.acceptance_rate,
+                              **_cross_check(draws, post.means)}
+            else:
+                point = post.means
+                diags[est] = {"converged": True, "acceptance_rate": None}
             for p in PARAM_NAMES:
                 estimates[(est, p)] = point[p]
         except Exception as exc:  # failure markers, never silently dropped
@@ -154,6 +178,19 @@ def _run_replicate(scenario: Scenario, r: int) -> tuple[int, dict, dict, dict]:
             for p in PARAM_NAMES:
                 estimates[(est, p)] = math.nan
     return r, estimates, diags, failures
+
+
+def _cross_check(draws, exact: dict) -> dict:
+    """Monte Carlo standard error sd/sqrt(n) of each draw mean, and its
+    z-score (draw mean - exact mean)/mcse against the quadrature means;
+    empty below two draws, where there is no sd."""
+    n = draws.n_draws
+    if n < 2:
+        return {}
+    mcse = {p: draws.sd(p) / math.sqrt(n) for p in PARAM_NAMES}
+    return {"mcse": mcse,
+            "z": {p: (draws.mean(p) - exact[p]) / mcse[p] if mcse[p] > 0 else math.nan
+                  for p in PARAM_NAMES}}
 
 
 def aggregate_quantiles(estimates: dict) -> dict:
@@ -255,14 +292,18 @@ def emit_plot_data(reports, out_dir) -> tuple[str, str]:
 
 def report_to_json(report: ReplicationReport) -> dict:
     """The resolved scenario (with the svyanova and numpy versions that ran
-    it), quantiles, per-replicate estimator diagnostics (acceptance rate,
-    MAP convergence and log-likelihood) and failures."""
+    it, and ``N_h`` as one int when every cluster has that size), quantiles,
+    per-replicate estimator diagnostics (acceptance rate, the integrated
+    draws' ``mcse`` and ``z`` against the exact means, MAP convergence and
+    log-likelihood) and failures."""
     scen = report.scenario
+    N_h = scen.population.N_h
     return {
         "scenario_id": scen.scenario_id,
         "scenario": {
             "M": scen.population.M,
-            "N_h": list(scen.population.N_h),
+            # one int when every cluster has the same size
+            "N_h": (N_h[0] if len(set(N_h)) == 1 else list(N_h)),
             "mu0": scen.population.mu0,
             "sigma_a0": scen.population.sigma_a0,
             "sigma_eps0": scen.population.sigma_eps0,

@@ -16,7 +16,10 @@ Three routes share one pseudo-posterior target:
   maximizing mu and tau_eps are in closed form.
 
 Every density is computed once, from the per-cluster weighted sums in
-``_SuffStats`` and their totals, taken once per fit.  The sums are of y
+``_SuffStats`` and their totals.  A ``_Posterior`` holds them, with the
+collapsed grid in x built on first use; each public route builds one per
+fit, and the harness one per weight mode of a replicate, which all of that
+mode's estimators share.  The sums are of y
 centred at its weighted mean, so that a large mean costs no digits; every
 route works in the centred mu and adds the centre back to its results.
 The public ``fc_*`` functions are views of the full conditionals
@@ -27,7 +30,7 @@ one integrated log posterior on (mu, log tau_a, log tau_eps).  The per-unit
 ``augmented_logpseudo*`` densities are the independent reference the tests
 check those closed forms against.
 
-Both drawing routes take (x, tau_eps, mu) from ``_draw_collapsed``, which
+Both drawing routes take (x, tau_eps, mu) from ``_Posterior.draw``, which
 draws all its ``uniform`` values (x by inverse CDF), then all
 ``standard_gamma`` (tau_eps), then all ``standard_normal`` (mu), one per
 kept draw: ``run_integrated_mcmc`` from the substream keyed by the chain
@@ -552,25 +555,83 @@ def _draw_x(xs: np.ndarray, lp: np.ndarray, u: np.ndarray) -> np.ndarray:
     return xs[i] + h[i] * np.clip(t, 0.0, 1.0)
 
 
+class _Posterior:
+    """The integrated pseudo-posterior of one sample under one weight set.
+
+    Holds the fit's ``_SuffStats`` and builds the collapsed grid of
+    ``_x_grid`` on first use, then keeps it, so the routes that share one
+    object share both.  The public
+    ``posterior_means``, ``run_gibbs``, ``run_integrated_mcmc`` and
+    ``map_estimate`` each build one; the harness builds one per weight mode
+    of a replicate.
+    """
+
+    def __init__(self, sample, weights, prior: PriorConfig):
+        self.stats, self.prior = _suffstats(sample, weights), prior
+
+    @cached_property
+    def grid(self):
+        """``_x_grid``'s (x, log p(x), mu*, Q, B); raises PosteriorError
+        where it does, on every read."""
+        return _x_grid(self.stats, self.prior)
+
+    @cached_property
+    def means(self) -> dict:
+        """Posterior means of b0, sigma_a and sigma_eps by quadrature over
+        the grid; see ``posterior_means``."""
+        xs, lp, mu, _, b = self.grid
+        mass = _interval_masses(xs, lp)[0]
+        shape = _kappa(self.stats, self.prior) + 1.5
+        sigma_eps = np.sqrt(b) * math.exp(math.lgamma(shape - 0.5) - math.lgamma(shape))
+        given_x = {"b0": mu, "sigma_a": np.exp(-0.5 * xs) * sigma_eps, "sigma_eps": sigma_eps}
+        means = {p: float(mass @ (0.5 * (v[:-1] + v[1:]))) / float(mass.sum())
+                 for p, v in given_x.items()}
+        means["b0"] += self.stats.center
+        return means
+
+    def draw(self, rng, n: int):
+        """n independent draws of (mu - center, tau_a, tau_eps).
+
+        x is drawn by inverse CDF from the piecewise log-linear interpolant
+        of log p(x) on the grid, then tau_eps | x ~ Gamma and
+        mu | x, tau_eps ~ Normal exactly, at each draw's own x.
+        """
+        stats, prior = self.stats, self.prior
+        xs, lp, *_ = self.grid
+        x = _draw_x(xs, lp, rng.uniform(size=n))
+        gam = rng.standard_gamma(_kappa(stats, prior) + 1.5, size=n)
+        z = rng.standard_normal(n)
+        _, mu, q, b = _collapsed(stats, prior, x, density=False)
+        tau_eps = gam / b
+        mu += z / np.sqrt(tau_eps * q)
+        tau_a = np.exp(x) * tau_eps
+        if not (np.isfinite(mu).all() and np.isfinite(tau_a).all() and (tau_eps > 0).all()):
+            raise PosteriorError("non-finite draw from the collapsed posterior")
+        return mu, tau_a, tau_eps
+
+    def integrated_draws(self, chain: ChainConfig) -> DrawsMatrix:
+        """``run_integrated_mcmc``'s draws."""
+        mu, tau_a, tau_eps = self.draw(substream(chain.seed), chain.n_draws)
+        return DrawsMatrix(mu=mu + self.stats.center, tau_a=tau_a, tau_eps=tau_eps, a=None,
+                           acceptance_rate=1.0)
+
+    def mode(self):
+        """``map_estimate``'s result; reads the sums only, never the grid."""
+        return _mode(self.stats, self.prior)
+
+
 def posterior_means(sample, weights, prior: PriorConfig) -> dict:
     """Posterior means of b0, sigma_a and sigma_eps under the integrated
     pseudo-posterior, by quadrature over the grid ``run_integrated_mcmc``
-    draws x from; deterministic.
+    draws x from; deterministic.  The augmented posterior's (mu, tau_a,
+    tau_eps) marginal is the same, so these are also the exact means of
+    what ``run_gibbs`` draws.
 
     Given x, E[mu] = mu*, E[sigma_eps] = sqrt(B) Gamma(s - 1/2)/Gamma(s) with
     s = kappa + 3/2, and E[sigma_a] = exp(-x/2) E[sigma_eps]; each is
     averaged over the grid intervals, weighted by their masses.
     """
-    stats = _suffstats(sample, weights)
-    xs, lp, mu, _, b = _x_grid(stats, prior)
-    mass = _interval_masses(xs, lp)[0]
-    shape = _kappa(stats, prior) + 1.5
-    sigma_eps = np.sqrt(b) * math.exp(math.lgamma(shape - 0.5) - math.lgamma(shape))
-    given_x = {"b0": mu, "sigma_a": np.exp(-0.5 * xs) * sigma_eps, "sigma_eps": sigma_eps}
-    means = {p: float(mass @ (0.5 * (v[:-1] + v[1:]))) / float(mass.sum())
-             for p, v in given_x.items()}
-    means["b0"] += stats.center
-    return means
+    return _Posterior(sample, weights, prior).means
 
 
 # ---------------------------------------------------------------------------
@@ -584,28 +645,6 @@ def _auto_init(stats: _SuffStats) -> tuple[float, float, float]:
     var_eps = max(stats.wss / stats.sw_tot, 1e-8)
     var_a = max(float(np.var(stats.ybar)), 1e-4)
     return mu0, 1.0 / var_a, 1.0 / var_eps
-
-
-def _draw_collapsed(stats: _SuffStats, prior: PriorConfig, rng, n: int):
-    """n independent draws of (mu - center, tau_a, tau_eps) from the
-    integrated pseudo-posterior.
-
-    x is drawn by inverse CDF from the piecewise log-linear interpolant of
-    log p(x) on the grid of ``_x_grid``, then tau_eps | x ~ Gamma and
-    mu | x, tau_eps ~ Normal exactly, at each draw's own x.  Raises
-    PosteriorError where ``_x_grid`` does.
-    """
-    xs, lp, *_ = _x_grid(stats, prior)
-    x = _draw_x(xs, lp, rng.uniform(size=n))
-    gam = rng.standard_gamma(_kappa(stats, prior) + 1.5, size=n)
-    z = rng.standard_normal(n)
-    _, mu, q, b = _collapsed(stats, prior, x, density=False)
-    tau_eps = gam / b
-    mu += z / np.sqrt(tau_eps * q)
-    tau_a = np.exp(x) * tau_eps
-    if not (np.isfinite(mu).all() and np.isfinite(tau_a).all() and (tau_eps > 0).all()):
-        raise PosteriorError("non-finite draw from the collapsed posterior")
-    return mu, tau_a, tau_eps
 
 
 def _draw_effects(stats: _SuffStats, mu: np.ndarray, tau_a: np.ndarray, tau_eps: np.ndarray,
@@ -639,25 +678,22 @@ def run_gibbs(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsM
     ``chain.n_draws`` draws; deterministic given ``chain.seed``; raises
     PosteriorError where ``_x_grid`` does.
     """
-    stats = _suffstats(sample, weights)
-    rng = substream(chain.seed, 1)
-    mu, tau_a, tau_eps = _draw_collapsed(stats, prior, rng, chain.n_draws)
+    post = _Posterior(sample, weights, prior)
+    stats, rng = post.stats, substream(chain.seed, 1)
+    mu, tau_a, tau_eps = post.draw(rng, chain.n_draws)
     return DrawsMatrix(mu=mu + stats.center, tau_a=tau_a, tau_eps=tau_eps,
                        a=partial(_draw_effects, stats, mu, tau_a, tau_eps, rng))
 
 
 def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig) -> DrawsMatrix:
     """Independent draws from the integrated pseudo-posterior through its
-    collapse to x = log(tau_a/tau_eps) (``_draw_collapsed``).
+    collapse to x = log(tau_a/tau_eps) (``_Posterior.draw``).
 
     Makes ``chain.n_draws`` i.i.d. draws, each counted as accepted
     (``acceptance_rate`` 1.0).  Raises PosteriorError where ``_x_grid``
     does.
     """
-    stats = _suffstats(sample, weights)
-    mu, tau_a, tau_eps = _draw_collapsed(stats, prior, substream(chain.seed), chain.n_draws)
-    return DrawsMatrix(mu=mu + stats.center, tau_a=tau_a, tau_eps=tau_eps, a=None,
-                       acceptance_rate=1.0)
+    return _Posterior(sample, weights, prior).integrated_draws(chain)
 
 
 _LOG_R_TOL = 1e-12  # above the spacing of doubles up to 1024, so bisection ends
@@ -689,7 +725,11 @@ def map_estimate(sample, weights, prior: PriorConfig, seed: int = 0):
     is the moment-based start.  Neither case raises.  ``seed`` is accepted
     for compatibility and does not affect the result.
     """
-    stats = _suffstats(sample, weights)
+    return _Posterior(sample, weights, prior).mode()
+
+
+def _mode(stats: _SuffStats, prior: PriorConfig):
+    """``map_estimate`` on the sums of one fit."""
     mu0, ta0, te0 = _auto_init(stats)
     best = (mu0, math.log(ta0), math.log(te0))
     best_value = _integrated_logpost_x(*best, stats, prior)

@@ -67,6 +67,24 @@ class TestSimulate:
         assert (out1 / "estimates_long.csv").read_bytes() == \
             (out2 / "estimates_long.csv").read_bytes()
 
+    def test_scenario_line_prints_max_abs_z(self, tmp_path, capsys):
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(TINY_CFG.replace("[equal_gibbs, double_gibbs]",
+                                        "[double_gibbs, double_integrated]"))
+        out = tmp_path / "results"
+        assert main(["simulate", "--scenario", str(cfg), "--out", str(out)]) == 0
+        js = json.loads(next(out.glob("*/report.json")).read_text())
+        zs = [abs(z) for diag in js["diagnostics"]
+              for z in diag["double_integrated"]["z"].values()]
+        line = capsys.readouterr().out.strip()
+        assert line.endswith(f", max |z| {max(zs):.2f}")
+
+    def test_scenario_line_without_draws_has_no_z(self, tiny_scenario, tmp_path, capsys):
+        assert main(["simulate", "--scenario", str(tiny_scenario),
+                     "--out", str(tmp_path / "o")]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.endswith("s") and "max |z|" not in line
+
     def test_desk_flag_scales(self, tiny_scenario, tmp_path):
         out = tmp_path / "desk"
         assert main(["simulate", "--scenario", str(tiny_scenario), "--desk",

@@ -1,19 +1,28 @@
 import json
 import math
 import re
+import statistics
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import svyanova
-from svyanova.design import ClusterDesign, TwoStageDesign, UnitDesign
-from svyanova.errors import ConfigError
-from svyanova.harness import (ESTIMATORS, ReplicationReport, Scenario,
-                              ScenarioFailure, aggregate_quantiles,
-                              emit_plot_data, load_scenarios, report_to_json,
-                              run_grid, run_scenario)
-from svyanova.inference import ChainConfig, PriorConfig
-from svyanova.popgen import PopulationConfig
+from svyanova import inference
+from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
+                             build_weights, draw_two_stage_sample)
+from svyanova.errors import ConfigError, PosteriorError
+from svyanova.harness import (_CHAIN, _MODE_OF, ESTIMATORS, ReplicationReport, Scenario,
+                              ScenarioFailure, _run_replicate, aggregate_quantiles,
+                              emit_plot_data, load_scenarios, replicate_configs,
+                              report_to_json, run_grid, run_scenario)
+from svyanova.inference import (ChainConfig, PriorConfig, posterior_means,
+                                run_integrated_mcmc)
+from svyanova.popgen import PopulationConfig, generate_population
+from svyanova.rng import derive_seed
+
+PARAMS = ("b0", "sigma_a", "sigma_eps")
 
 
 def _scenario(scenario_id="t", M=40, N_h=8, m=10, n_k=3, R=3, base_seed=5,
@@ -104,6 +113,103 @@ class TestRunScenario:
                        for p in ("b0", "sigma_a", "sigma_eps"))
 
 
+class TestSharedPosterior:
+    """The estimators of one weight mode share one posterior: the gibbs
+    cells are its exact quadrature means, double_integrated its draws."""
+
+    @staticmethod
+    def _sample_and_weights(scen, r):
+        pop_cfg, design = replicate_configs(scen, r)
+        sample = draw_two_stage_sample(generate_population(pop_cfg), design)
+        return sample, {mode: build_weights(sample, mode, normalize=scen.normalize_weights)
+                        for mode in WeightMode}
+
+    def test_gibbs_cells_are_posterior_means(self):
+        scen = _scenario(R=3, estimators=ESTIMATORS)
+        rep = run_scenario(scen)
+        for r in range(1, scen.R + 1):
+            sample, weights = self._sample_and_weights(scen, r)
+            for est in ("equal_gibbs", "single_gibbs", "double_gibbs"):
+                exact = posterior_means(sample, weights[_MODE_OF[est]], scen.priors)
+                for p in PARAMS:
+                    assert rep.estimates[(est, p)][r - 1] == exact[p], (est, p, r)
+
+    def test_integrated_cell_is_run_integrated_mcmc_at_the_chain_seed(self):
+        scen = _scenario(R=3, estimators=ESTIMATORS)
+        rep = run_scenario(scen)
+        for r in range(1, scen.R + 1):
+            sample, weights = self._sample_and_weights(scen, r)
+            chain = replace(scen.chain, seed=derive_seed(scen.base_seed, _CHAIN, r))
+            draws = run_integrated_mcmc(sample, weights[WeightMode.DOUBLE], scen.priors, chain)
+            exact = posterior_means(sample, weights[WeightMode.DOUBLE], scen.priors)
+            diag = rep.diagnostics[r - 1]["double_integrated"]
+            for p in PARAMS:
+                assert rep.estimates[("double_integrated", p)][r - 1] == draws.mean(p)
+                mcse = draws.sd(p) / math.sqrt(draws.n_draws)
+                assert diag["mcse"][p] == mcse
+                assert diag["z"][p] == (draws.mean(p) - exact[p]) / mcse
+
+    @pytest.mark.parametrize("estimators, calls", [
+        (ESTIMATORS, {"_suffstats": 3, "_x_grid": 3}),
+        (("double_integrated",), {"_suffstats": 1, "_x_grid": 1}),
+        (("double_map",), {"_suffstats": 1, "_x_grid": 0}),
+        (("double_gibbs", "double_integrated", "double_map"),
+         {"_suffstats": 1, "_x_grid": 1}),
+    ], ids=["all-five", "integrated-only", "map-only", "double-mode"])
+    def test_sums_and_grid_built_once_per_weight_mode(self, monkeypatch, estimators, calls):
+        counts = dict.fromkeys(calls, 0)
+        for name in counts:
+            original = getattr(inference, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(inference, name, counted)
+        _, _, diags, failures = _run_replicate(_scenario(estimators=estimators), 1)
+        assert not failures
+        assert counts == calls
+        if "double_integrated" in estimators:
+            # the exact mean is computed for the cross-check even without double_gibbs
+            assert set(diags["double_integrated"]["z"]) == set(PARAMS)
+
+    def test_single_draw_has_no_cross_check(self):
+        # one draw has no sd, so no mcse or z; the estimate itself stands
+        _, estimates, diags, failures = _run_replicate(
+            _scenario(estimators=("double_integrated",), draws=1), 1)
+        assert not failures
+        assert all(math.isfinite(estimates[("double_integrated", p)]) for p in PARAMS)
+        assert "z" not in diags["double_integrated"]
+
+    def test_grid_failure_fails_only_the_grid_cells(self, monkeypatch):
+        def fail(stats, prior):
+            raise PosteriorError("forced grid failure")
+
+        monkeypatch.setattr(inference, "_x_grid", fail)
+        _, estimates, diags, failures = _run_replicate(_scenario(estimators=ESTIMATORS), 1)
+        grid_cells = [e for e in ESTIMATORS if e != "double_map"]
+        assert sorted(failures) == sorted(grid_cells)
+        for est in grid_cells:
+            assert failures[est] == "PosteriorError: forced grid failure"
+            assert diags[est]["converged"] is False
+            assert all(math.isnan(estimates[(est, p)]) for p in PARAMS)
+        assert all(math.isfinite(estimates[("double_map", p)]) for p in PARAMS)
+        assert math.isfinite(diags["double_map"]["loglik"])
+
+    def test_integrated_z_scores_look_standard_normal(self):
+        # outside the acceptance gates: the double_integrated draw means
+        # against the exact means, over the replicates of study 1's m=50
+        # desk scenario; the three z's of a replicate share its chain seed
+        cfg = Path(svyanova.__file__).parent / "scenarios" / "paper-study1.cfg"
+        scen = replace(load_scenarios(cfg, desk=True)[0], estimators=("double_integrated",))
+        rep = run_scenario(scen)
+        zs = [diag["double_integrated"]["z"][p] for diag in rep.diagnostics for p in PARAMS]
+        assert len(zs) == 3 * scen.R
+        assert max(abs(z) for z in zs) < 6.0
+        assert abs(statistics.fmean(zs)) < 0.6
+        assert 0.7 < statistics.stdev(zs) < 1.35
+
+
 class TestQuantileAggregation:
     def test_type7_linear_interpolation(self):
         est = {("equal_gibbs", "b0"): np.array([10.0, 20.0, 30.0, 40.0])}
@@ -186,6 +292,11 @@ class TestEmitPlotData:
         assert js["scenario"]["R"] == 2
         assert js["n_failures"] == 0
         assert "equal_gibbs/b0" in js["quantiles"]
+
+    def test_report_json_writes_a_constant_N_h_as_one_int(self):
+        js = json.loads(json.dumps(report_to_json(run_scenario(_scenario(R=1)))))
+        assert js["scenario"]["N_h"] == 8
+        assert js["scenario"]["M"] == 40
 
     def test_report_json_echoes_scenario_and_chain_health(self):
         scen = _scenario(M=12, N_h=[3 + h % 4 for h in range(12)], m=6, n_k=2, R=2,

@@ -212,14 +212,26 @@ def aggregate_quantiles(estimates: dict) -> dict:
 def run_scenario(scenario: Scenario, workers: int = 1) -> ReplicationReport:
     """Run all R replicates and aggregate quantiles per (estimator, parameter).
 
-    Raises only if every replicate failed outright; individual failures are
-    recorded as NaN cells with their error messages.
+    With ``workers > 1`` and ``R > 1`` the replicates run on a process
+    pool of ``min(workers, R)`` processes of their own.  Raises only if
+    every replicate failed outright; individual failures are recorded as
+    NaN cells with their error messages.
     """
+    size = min(workers, scenario.R)
+    if size < 2:
+        return _run_scenario(scenario)
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return _run_scenario(scenario, pool)
+
+
+def _run_scenario(scenario: Scenario, pool: ProcessPoolExecutor | None = None
+                  ) -> ReplicationReport:
+    """``run_scenario`` with the replicates in this process, or mapped one
+    task each over ``pool``."""
     t0 = time.perf_counter()
     reps = range(1, scenario.R + 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replicate, [scenario] * scenario.R, reps))
+    if pool is not None:
+        results = list(pool.map(_run_replicate, [scenario] * scenario.R, reps))
     else:
         results = [_run_replicate(scenario, r) for r in reps]
     results.sort(key=lambda item: item[0])
@@ -248,18 +260,35 @@ class ScenarioFailure:
 
 
 def run_grid(scenarios: list[Scenario], workers: int = 1) -> list:
-    """Map run_scenario over the grid; failures are isolated per scenario.
+    """Run every scenario; failures are isolated per scenario.
 
     Output order follows scenario_id; a failed scenario yields a
-    ScenarioFailure entry in place of its report.
+    ScenarioFailure entry in place of its report.  With ``workers > 1``
+    every scenario's replicates run on one process pool of
+    ``min(workers, total replicates)`` processes, opened once for the
+    grid; with ``workers == 1``, or a single replicate in all, each
+    scenario goes through ``run_scenario`` in this process.  Reports do
+    not depend on the worker count.
+
+    A worker process that dies (killed, or exiting without raising)
+    breaks the pool: the scenario it was running and every scenario after
+    it come back as ScenarioFailure entries naming BrokenProcessPool, the
+    reports before it stand, and run_grid returns without raising.
     """
-    out = []
-    for scenario in sorted(scenarios, key=lambda s: s.scenario_id):
-        try:
-            out.append(run_scenario(scenario, workers=workers))
-        except Exception as exc:
-            out.append(ScenarioFailure(scenario.scenario_id, f"{type(exc).__name__}: {exc}"))
-    return out
+    ordered = sorted(scenarios, key=lambda s: s.scenario_id)
+    size = min(workers, sum(s.R for s in ordered))
+    if size < 2:
+        return [_isolated(run_scenario, s) for s in ordered]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return [_isolated(_run_scenario, s, pool) for s in ordered]
+
+
+def _isolated(run, scenario: Scenario, *args):
+    """``run(scenario, *args)``, or the ScenarioFailure of its exception."""
+    try:
+        return run(scenario, *args)
+    except Exception as exc:
+        return ScenarioFailure(scenario.scenario_id, f"{type(exc).__name__}: {exc}")
 
 
 def _truth(pop: PopulationConfig) -> dict:

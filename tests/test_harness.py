@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
+import signal
 import statistics
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import svyanova
-from svyanova import inference
+from svyanova import harness, inference
 from svyanova.design import (ClusterDesign, TwoStageDesign, UnitDesign, WeightMode,
                              build_weights, draw_two_stage_sample)
 from svyanova.errors import ConfigError, PosteriorError
@@ -250,6 +253,64 @@ class TestRunGrid:
                  for i in (3, 1, 2)]
         out = run_grid(scens)
         assert [r.scenario.scenario_id for r in out] == ["s1", "s2", "s3"]
+
+    def test_one_pool_per_grid_same_results(self, monkeypatch):
+        opened = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        grid = [_scenario(scenario_id="c-good", R=2, base_seed=8, estimators=ESTIMATORS),
+                _scenario(scenario_id="a-good", R=3, estimators=ESTIMATORS),
+                _scenario(scenario_id="b-bad", R=2, n_k=1000)]  # n_k > N_h
+        parallel = run_grid(grid, workers=2)
+        assert opened == [2]
+        serial = run_grid(grid, workers=1)
+        assert opened == [2]
+        assert [_bits(r) for r in parallel] == [_bits(r) for r in serial]
+        assert [type(r) for r in parallel] == [ReplicationReport, ScenarioFailure,
+                                               ReplicationReport]
+        assert parallel[1].scenario_id == "b-bad"
+
+    def test_dead_worker_fails_later_scenarios(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run_replicate", _exit_on_c_dies)
+        grid = [_scenario(scenario_id=sid, R=2)
+                for sid in ("e-later", "a-ok", "c-dies", "b-ok", "d-later")]
+
+        def hung(signum, frame):
+            raise TimeoutError("run_grid hung after a worker process died")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            out = run_grid(grid, workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [type(r) for r in out[:2]] == [ReplicationReport] * 2
+        assert [r.scenario.scenario_id for r in out[:2]] == ["a-ok", "b-ok"]
+        assert [r.scenario_id for r in out[2:]] == ["c-dies", "d-later", "e-later"]
+        for failure in out[2:]:
+            assert isinstance(failure, ScenarioFailure)
+            assert failure.error.startswith("BrokenProcessPool")
+
+
+def _bits(report):
+    """A report but its wall time, with the estimates as raw bytes."""
+    if isinstance(report, ScenarioFailure):
+        return report
+    return (report.scenario, {k: v.tobytes() for k, v in report.estimates.items()},
+            repr(report.quantiles), repr(report.diagnostics), report.failures)
+
+
+def _exit_on_c_dies(scenario, r):
+    """_run_replicate, but the worker process exits outright on "c-dies"."""
+    if scenario.scenario_id == "c-dies":
+        os._exit(1)
+    return _run_replicate(scenario, r)
 
 
 class TestEmitPlotData:

@@ -212,16 +212,15 @@ def aggregate_quantiles(estimates: dict) -> dict:
 def run_scenario(scenario: Scenario, workers: int = 1) -> ReplicationReport:
     """Run all R replicates and aggregate quantiles per (estimator, parameter).
 
-    With ``workers > 1`` and ``R > 1`` the replicates run on a process
-    pool of ``min(workers, R)`` processes of their own.  Raises only if
-    every replicate failed outright; individual failures are recorded as
-    NaN cells with their error messages.
+    With ``workers > 1`` the replicates run on a process pool of
+    ``workers`` processes of their own.  Raises only if every replicate
+    failed outright; individual failures are recorded as NaN cells with
+    their error messages.
     """
-    size = min(workers, scenario.R)
-    if size < 2:
-        return _run_scenario(scenario)
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return _run_scenario(scenario, pool)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return _run_scenario(scenario, pool)
+    return _run_scenario(scenario)
 
 
 def _run_scenario(scenario: Scenario, pool: ProcessPoolExecutor | None = None

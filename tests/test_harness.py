@@ -96,6 +96,15 @@ class TestRunScenario:
         for key in serial.estimates:
             np.testing.assert_array_equal(serial.estimates[key], parallel.estimates[key])
 
+    def test_one_replicate_still_runs_on_a_pool(self, monkeypatch):
+        # run_scenario(workers > 1) opens its pool whatever R is, so a
+        # one-replicate scenario can check the pool path against serial
+        opened = _count_pools(monkeypatch)
+        scen = _scenario(R=1, base_seed=41)
+        parallel = run_scenario(scen, workers=2)
+        assert opened == [2]
+        assert _bits(parallel) == _bits(run_scenario(scen, workers=1))
+
     def test_all_estimator_kinds_run(self):
         scen = _scenario(R=1, estimators=ESTIMATORS, draws=250)
         rep = run_scenario(scen)
@@ -255,14 +264,7 @@ class TestRunGrid:
         assert [r.scenario.scenario_id for r in out] == ["s1", "s2", "s3"]
 
     def test_one_pool_per_grid_same_results(self, monkeypatch):
-        opened = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        opened = _count_pools(monkeypatch)
         grid = [_scenario(scenario_id="c-good", R=2, base_seed=8, estimators=ESTIMATORS),
                 _scenario(scenario_id="a-good", R=3, estimators=ESTIMATORS),
                 _scenario(scenario_id="b-bad", R=2, n_k=1000)]  # n_k > N_h
@@ -296,6 +298,19 @@ class TestRunGrid:
         for failure in out[2:]:
             assert isinstance(failure, ScenarioFailure)
             assert failure.error.startswith("BrokenProcessPool")
+
+
+def _count_pools(monkeypatch) -> list:
+    """Patch harness.ProcessPoolExecutor to record each pool's max_workers."""
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    return opened
 
 
 def _bits(report):

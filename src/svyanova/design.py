@@ -24,9 +24,9 @@ offsets.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -418,18 +418,40 @@ def sample_to_csv(sample: SampleDraw, weights: WeightSet, path) -> None:
                   np.repeat(weights.w_k, n_k), weights.w_cond, weights.w_marg))
 
 
-def _csv_column(rows: list[dict], name: str, parse, valid, requirement: str) -> np.ndarray:
-    """One parsed column; a bad value raises DesignError naming the line."""
+def _csv_column(cells: list, name: str, parse, valid, requirement: str) -> np.ndarray:
+    """One column parsed at once by numpy, which reads a string as ``parse``
+    (int or float) does; a bad value raises DesignError naming the first
+    line that holds one, found by a scan line by line.  ``valid`` takes an
+    array (or one value) and returns which entries are acceptable; None
+    accepts any.  numpy reads the None of a short row's missing cell as
+    NaN, which every float column's ``valid`` rejects."""
+    try:
+        values = np.array(cells, dtype=parse)
+        if valid is None or valid(values).all():
+            return values
+    except (TypeError, ValueError, OverflowError):
+        pass
     values = []
-    for line, row in enumerate(rows, start=2):  # line 1 is the header
+    for line, cell in enumerate(cells, start=2):  # line 1 is the header
         try:
-            values.append(parse(row[name]))
-            if not valid(values[-1]):
+            values.append(parse(cell))
+            if valid is not None and not valid(values[-1]):
                 raise ValueError
         except (TypeError, ValueError):
             raise DesignError(f"sample CSV line {line}: {name} must be {requirement}, "
-                              f"got {row[name]!r}") from None
+                              f"got {cell!r}") from None
     return np.array(values)
+
+
+def _first_repeat(cluster: np.ndarray, unit: np.ndarray) -> None:
+    """Raise DesignError naming both lines of the first repeated
+    (cluster_id, unit_id) pair, if any."""
+    first_line = {}
+    for line, key in enumerate(zip(cluster.tolist(), unit.tolist()), start=2):
+        if key in first_line:
+            raise DesignError(f"sample CSV lines {first_line[key]} and {line}: unit {key[1]} "
+                              f"of cluster {key[0]} appears twice")
+        first_line[key] = line
 
 
 def sample_from_csv(path) -> SampleDraw:
@@ -440,28 +462,39 @@ def sample_from_csv(path) -> SampleDraw:
     their sampled units; that is all estimation consumes.  Rows are grouped
     by ``cluster_id`` in increasing order, keeping file order within a
     cluster.  ``y`` must be finite, both probabilities in (0, 1], and each
-    (cluster_id, unit_id) pair may appear once.
+    (cluster_id, unit_id) pair may appear once.  Blank lines are skipped,
+    and a cell missing from a short row reads as None.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(SAMPLE_CSV_COLUMNS[:5]) - set(reader.fieldnames or [])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = set(SAMPLE_CSV_COLUMNS[:5]) - set(header)
         if missing:
             raise DesignError(f"sample CSV missing columns: {sorted(missing)}")
-        rows = list(reader)
+        rows = list(filter(None, reader))
     if not rows:
         raise DesignError("sample CSV contains no data rows")
-    cluster = _csv_column(rows, "cluster_id", int, lambda v: True, "an integer")
-    unit = _csv_column(rows, "unit_id", int, lambda v: True, "an integer")
-    first_line = {}
-    for line, key in enumerate(zip(cluster.tolist(), unit.tolist()), start=2):
-        if key in first_line:
-            raise DesignError(f"sample CSV lines {first_line[key]} and {line}: unit {key[1]} "
-                              f"of cluster {key[0]} appears twice")
-        first_line[key] = line
-    y = _csv_column(rows, "y", float, math.isfinite, "a finite number")
-    in_unit_interval = lambda v: 0.0 < v <= 1.0
-    pi_h = _csv_column(rows, "pi_h", float, in_unit_interval, "in (0, 1]")
-    pi_cond = _csv_column(rows, "pi_l_given_h", float, in_unit_interval, "in (0, 1]")
+    index = {name: i for i, name in enumerate(header)}  # the last of repeated names
+    width = max(index[name] for name in SAMPLE_CSV_COLUMNS[:5]) + 1
+    if min(map(len, rows)) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    cells = {name: list(map(itemgetter(index[name]), rows)) for name in SAMPLE_CSV_COLUMNS[:5]}
+    cluster = _csv_column(cells["cluster_id"], "cluster_id", int, None, "an integer")
+    unit = _csv_column(cells["unit_id"], "unit_id", int, None, "an integer")
+    # a repeated pair sits next to its copy once the pairs are sorted; ids
+    # beyond int64 go straight to the scan that names the lines
+    scan = cluster.dtype.kind != "i" or unit.dtype.kind != "i"
+    if not scan:
+        pairs = np.lexsort((unit, cluster))
+        c, u = cluster[pairs], unit[pairs]
+        scan = bool(((c[1:] == c[:-1]) & (u[1:] == u[:-1])).any())
+    if scan:
+        _first_repeat(cluster, unit)
+    y = _csv_column(cells["y"], "y", float, np.isfinite, "a finite number")
+    in_unit_interval = lambda v: (v > 0.0) & (v <= 1.0)
+    pi_h = _csv_column(cells["pi_h"], "pi_h", float, in_unit_interval, "in (0, 1]")
+    pi_cond = _csv_column(cells["pi_l_given_h"], "pi_l_given_h", float, in_unit_interval,
+                          "in (0, 1]")
     order = np.argsort(cluster, kind="stable")
     cluster, pi_h = cluster[order], pi_h[order]
     ids, starts, counts = np.unique(cluster, return_index=True, return_counts=True)

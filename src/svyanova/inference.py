@@ -30,6 +30,13 @@ one integrated log posterior on (mu, log tau_a, log tau_eps).  The per-unit
 ``augmented_logpseudo*`` densities are the independent reference the tests
 check those closed forms against.
 
+The per-ratio algebra sees a cluster only through c_k = sw_k/w_k and its
+sums, so it runs over the G groups of clusters that share one float value
+of c_k (``_SuffStats.groups``): every draw, grid point and MAP step costs
+O(G), not O(m).  Normalized weights make c_k = n_k up to rounding, so G is
+a handful of groups at any m; raw weights give G = m.  The cluster effects
+of ``run_gibbs`` are drawn cluster by cluster.
+
 Both drawing routes take (x, tau_eps, mu) from ``_Posterior.draw``, which
 draws all its ``uniform`` values (x by inverse CDF), then all
 ``standard_gamma`` (tau_eps), then all ``standard_normal`` (mu), one per
@@ -50,6 +57,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,6 +233,37 @@ class _SuffStats:
     def ybar(self) -> np.ndarray:
         """Weighted cluster means of the centred y."""
         return self.swy / self.sw
+
+    @cached_property
+    def groups(self) -> _Groups:
+        """The clusters grouped by the exact float value of c_k = sw_k/w_k."""
+        c = self.sw / self.w_k
+        order = np.argsort(c)
+        c, sw = c[order], self.sw[order]
+        starts = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
+        n = np.diff(np.append(starts, self.m))
+        s = np.add.reduceat(sw, starts)
+        ybar = np.add.reduceat(self.swy[order], starts) / s
+        dev = self.ybar[order] - np.repeat(ybar, n)
+        spread = np.add.reduceat(sw * dev * dev, starts) / s
+        return _Groups(c=c[starts], n=n.astype(float), s=s, ybar=ybar, spread=spread,
+                       sums=np.array([np.ones_like(s), ybar, spread]),
+                       log_sw_rest=float(np.log(self.sw).sum() - n @ np.log(s)))
+
+
+class _Groups(NamedTuple):
+    """Per-group sums over the clusters that share one value c_g of
+    c_k = sw_k/w_k; the collapse below depends on a cluster only through
+    c_k and its sums."""
+
+    c: np.ndarray      # c_g
+    n: np.ndarray      # clusters in the group, as floats
+    s: np.ndarray      # S_g = sum sw_k
+    ybar: np.ndarray   # ybar_g = sum swy_k / S_g
+    spread: np.ndarray  # V_g/S_g, V_g = sum sw_k (ybar_k - ybar_g)^2
+    sums: np.ndarray   # (3, G) rows 1, ybar_g and V_g/S_g
+    log_sw_rest: float  # sum_k log sw_k - sum_g n_g log S_g, so that
+    #                     sum_k log(u_k sw_k) = sum_g n_g log u_g + log_sw_rest
 
 
 def _suffstats(sample, weights) -> _SuffStats:
@@ -431,40 +470,66 @@ def integrated_logposterior(theta, sample, weights, prior: PriorConfig) -> float
 # up to a constant, where mu* = sum u_k swy_k / sum u_k sw_k, Q = r sum u_k sw_k,
 # E = WSS + r sum u_k sw_k (ybar_k - mu*)^2, B = E/2 + beta1 r + beta2,
 # W = sum w_k, S = sum sw_k and kappa = (S + W - m)/2 + alpha1 + alpha2 - 2.
+#
+# A cluster enters these sums only through c_k = sw_k/w_k, since
+# u_k sw_k = sw_k/(r + c_k).  Over the groups g of clusters that share one
+# float value c_g (_SuffStats.groups), with S_g = sum sw_k, ybar_g their
+# weighted mean and V_g = sum sw_k (ybar_k - ybar_g)^2:
+#   sum u_k sw_k = sum_g S_g/(r + c_g),
+#   mu* = sum_g S_g ybar_g/(r + c_g) / sum u_k sw_k,
+#   sum u_k sw_k (ybar_k - mu*)^2 = sum_g [V_g + S_g (ybar_g - mu*)^2]/(r + c_g),
+#   sum log(u_k sw_k) = sum_k log sw_k - sum_g n_g log(r + c_g),
+# the first and third are sums of non-negative parts, so no digits cancel.
+# Normalized weights make c_k = n_k up to rounding, so G is a handful of
+# groups whatever m is; raw weights make every cluster its own group.
 
 def _kappa(stats: _SuffStats, prior: PriorConfig) -> float:
     return 0.5 * (stats.sw_tot + stats.w_k_tot - stats.m) + prior.alpha1 + prior.alpha2 - 2.0
 
 
+def _outer_sum(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The (len(x), len(g)) array of x_i + g_j; filling it by rows and then
+    adding by columns is faster than ``np.add.outer``."""
+    out = np.empty((len(x), len(g)))
+    out[:] = g
+    out += x[:, None]
+    return out
+
+
 def _conditionals(stats: _SuffStats, prior: PriorConfig, xs: np.ndarray):
-    """(u_k sw_k, mu*, Q, B) at each x in ``xs``; u_k sw_k has one row per x."""
-    r = np.exp(xs)
-    u_sw = np.add.outer(r, stats.sw / stats.w_k)
-    np.divide(stats.sw, u_sw, out=u_sw)
-    u_tot = u_sw.sum(axis=1)
-    mu = (u_sw @ stats.ybar) / u_tot
-    dev = np.subtract.outer(mu, stats.ybar)
+    """(u_g, (ybar_g - mu*)^2, mu*, Q, B) at each x in ``xs``, where
+    u_g = S_g/(r + c_g) is the sum of u_k sw_k over group g; the first two
+    have one row per x."""
+    groups, r = stats.groups, np.exp(xs)
+    u_sw = _outer_sum(r, groups.c)
+    np.divide(groups.s, u_sw, out=u_sw)
+    u_tot, mu, within = groups.sums @ u_sw.T
+    mu /= u_tot
+    dev = _outer_sum(-mu, groups.ybar)
     dev *= dev
-    dev *= u_sw
-    b = 0.5 * (stats.wss + r * dev.sum(axis=1)) + prior.beta1 * r + prior.beta2
-    return u_sw, mu, r * u_tot, b
+    within += np.einsum("ij,ij->i", dev, u_sw)
+    b = r * (0.5 * within + prior.beta1)
+    b += 0.5 * stats.wss + prior.beta2
+    return u_sw, dev, mu, r * u_tot, b
 
 
 def _collapsed(stats: _SuffStats, prior: PriorConfig, xs: np.ndarray, density: bool = True):
     """(log p(x), mu*(x), Q(x), B(x)) on an array of x = log(tau_a/tau_eps).
 
-    Evaluated a block of about 2^14 (x, cluster) entries at a time, so that
-    no (len(xs), m) array is held; log p is None unless ``density``.
+    Costs O(len(xs) G) over the G groups of ``_SuffStats.groups``,
+    evaluated a block of about 2^14 (x, group) entries at a time, so that
+    no (len(xs), G) array is held; log p is None unless ``density``.
     """
     xs = np.asarray(xs, dtype=float)
-    rows = max(1, _BLOCK_ENTRIES // stats.m)
+    groups = stats.groups
+    rows = max(1, _BLOCK_ENTRIES // len(groups.c))
     mu, q, b, half_log_usw = np.empty((4, len(xs)))
     for start in range(0, len(xs), rows):
         block = slice(start, start + rows)
-        u_sw, mu[block], q[block], b[block] = _conditionals(stats, prior, xs[block])
+        u_sw, _, mu[block], q[block], b[block] = _conditionals(stats, prior, xs[block])
         if density:
             # -1/2 sum log d_k = 1/2 sum log(u_k sw_k) - 1/2 sum log(w_k sw_k)
-            half_log_usw[block] = 0.5 * np.log(u_sw, out=u_sw).sum(axis=1)
+            half_log_usw[block] = 0.5 * (np.log(u_sw, out=u_sw) @ groups.n + groups.log_sw_rest)
     if not density:
         return None, mu, q, b
     logp = (half_log_usw + (0.5 * stats.w_k_tot + prior.alpha1) * xs
@@ -481,7 +546,8 @@ _GRID_OFFSETS = tuple(sorted({s * (2.0 ** j - 1.0) for j in range(12) for s in (
 _GRID_SIZE = 257      # points per refinement of the collapsed grid
 _GRID_DROP = 40.0     # the grid covers log p(x) down to this far below its maximum
 _GRID_ROUNDS = 60     # a round at least halves the grid's span, so this is ample
-_BLOCK_ENTRIES = 2 ** 14  # (x, cluster) entries per block of _collapsed
+# (x, group) entries per block of _collapsed; (draw, cluster) of _draw_effects
+_BLOCK_ENTRIES = 2 ** 14
 
 
 def _search_grid(x0: float) -> np.ndarray:
@@ -643,7 +709,8 @@ def _auto_init(stats: _SuffStats) -> tuple[float, float, float]:
     residual variance, inverse variance of cluster means (floored at 1e-4)."""
     mu0 = stats.swy_tot / stats.sw_tot
     var_eps = max(stats.wss / stats.sw_tot, 1e-8)
-    var_a = max(float(np.var(stats.ybar)), 1e-4)
+    dev = stats.ybar - stats.ybar.sum() / stats.m  # np.var's own steps, without its overhead
+    var_a = max(float((dev * dev).sum()) / stats.m, 1e-4)
     return mu0, 1.0 / var_a, 1.0 / var_eps
 
 
@@ -697,6 +764,13 @@ def run_integrated_mcmc(sample, weights, prior: PriorConfig, chain: ChainConfig)
 
 
 _LOG_R_TOL = 1e-12  # above the spacing of doubles up to 1024, so bisection ends
+# The MAP bisection profiles, in one call, every midpoint that its next s
+# halvings can visit (2^s - 1 points), with s the largest in 1..6 that keeps
+# (2^s - 1) G within _BISECT_ENTRIES: many halvings per call where G is
+# small and a call's fixed cost dominates, few where G is large and the
+# cost of the points the halvings skip does.
+_BISECT_ENTRIES = 2 ** 12
+_BISECT_MAX_STEPS = 6
 
 
 def map_estimate(sample, weights, prior: PriorConfig, seed: int = 0):
@@ -728,6 +802,23 @@ def map_estimate(sample, weights, prior: PriorConfig, seed: int = 0):
     return _Posterior(sample, weights, prior).mode()
 
 
+def _profile(stats: _SuffStats, prior: PriorConfig, kappa: float, xs: np.ndarray):
+    """(mu*, log tau_eps*, slope of the profile log posterior) at each log r
+    in ``xs``, for kappa > 0.  s_k = c_k/(r + c_k) takes one value s_g per
+    group, so sum u_k sw_k s_k (ybar_k - mu*)^2 is
+    sum_g u_g s_g (V_g/S_g + (ybar_g - mu*)^2)."""
+    groups, r = stats.groups, np.exp(xs)
+    u_sw, dev2, mu, _, b = _conditionals(stats, prior, xs)
+    s_per_u = groups.c / groups.s  # s_g = u_g c_g/S_g
+    s_tot = u_sw @ (groups.n * s_per_u)
+    u_sw *= u_sw
+    u_sw *= s_per_u
+    spread = u_sw @ groups.spread + np.einsum("ij,ij->i", u_sw, dev2)
+    slope = (0.5 * (stats.w_k_tot - stats.m + s_tot) + prior.alpha1 - 1.0
+             - kappa * (r * (0.5 * spread + prior.beta1) / b))
+    return mu, math.log(kappa) - np.log(b), slope
+
+
 def _mode(stats: _SuffStats, prior: PriorConfig):
     """``map_estimate`` on the sums of one fit."""
     mu0, ta0, te0 = _auto_init(stats)
@@ -736,43 +827,47 @@ def _mode(stats: _SuffStats, prior: PriorConfig):
     kappa = _kappa(stats, prior)
     converged = False
     if kappa > 0:
-        def profile(x: float) -> tuple[float, float, float]:
-            """(mu*, log tau_eps*, slope of the profile log posterior) at log r = x."""
-            u_sw, mu, _, b = _conditionals(stats, prior, np.array([x]))
-            u_sw, mu, b = u_sw[0], float(mu[0]), float(b[0])
-            s_k = u_sw / stats.w_k
-            dev2 = (stats.ybar - mu) ** 2
-            slope = (0.5 * (stats.w_k_tot - stats.m + float(s_k.sum())) + prior.alpha1 - 1.0
-                     - kappa * math.exp(x) * (0.5 * float((u_sw * s_k) @ dev2) + prior.beta1) / b)
-            return mu, math.log(kappa) - math.log(b), slope
-
-        def score(x: float) -> float:
+        def score(xs: np.ndarray) -> list[float]:
+            """The integrated log posterior at the profile's maximizer of
+            each log r in ``xs``, in order; keeps the best."""
             nonlocal best, best_value
-            mu, lte, _ = profile(x)
-            value = _integrated_logpost_x(mu, x + lte, lte, stats, prior)
-            if value > best_value:
-                best, best_value = (mu, x + lte, lte), value
-            return value
+            mus, ltes, _ = _profile(stats, prior, kappa, xs)
+            values = []
+            for x, mu, lte in zip(xs.tolist(), mus.tolist(), ltes.tolist()):
+                values.append(_integrated_logpost_x(mu, x + lte, lte, stats, prior))
+                if values[-1] > best_value:
+                    best, best_value = (mu, x + lte, lte), values[-1]
+            return values
 
-        x0 = best[1] - best[2]
-        grid = _search_grid(x0).tolist()
-        values = [score(x) for x in grid]
+        grid = _search_grid(best[1] - best[2])
+        values = score(grid)
         i = max(range(len(grid)), key=values.__getitem__)
         if 0 < i < len(grid) - 1 and math.isfinite(values[i]):
-            a, b = grid[i - 1], grid[i + 1]
+            a, b = float(grid[i - 1]), float(grid[i + 1])
+            steps = min(_BISECT_MAX_STEPS,
+                        max(1, (_BISECT_ENTRIES // len(stats.groups.c) + 1).bit_length() - 1))
             while b - a > _LOG_R_TOL:
-                c = 0.5 * (a + b)
-                _, lte, slope = profile(c)
-                # the points inside the |log tau| guard form an interval
-                # around grid[i]; from outside it, step back toward grid[i]
-                if max(abs(c + lte), abs(lte)) > _LOG_TAU_MAX:
-                    a, b = (c, b) if c < grid[i] else (a, c)
-                elif slope > 0:
-                    a = c
-                else:
-                    b = c
-            score(a)
-            score(b)
+                # every midpoint the next halvings of [a, b] can visit,
+                # formed as each halving forms it, profiled in one call
+                points = [a, b]
+                for _ in range(steps):
+                    points = [*(v for lo, hi in zip(points, points[1:])
+                                for v in (lo, 0.5 * (lo + hi))), b]
+                _, ltes, slopes = _profile(stats, prior, kappa, np.array(points[1:-1]))
+                lo, hi = 0, len(points) - 1
+                while hi - lo > 1 and points[hi] - points[lo] > _LOG_R_TOL:
+                    mid = (lo + hi) // 2
+                    c, lte = points[mid], float(ltes[mid - 1])
+                    # the points inside the |log tau| guard form an interval
+                    # around grid[i]; from outside it, step back toward grid[i]
+                    if max(abs(c + lte), abs(lte)) > _LOG_TAU_MAX:
+                        lo, hi = (mid, hi) if c < grid[i] else (lo, mid)
+                    elif slopes[mid - 1] > 0:
+                        lo = mid
+                    else:
+                        hi = mid
+                a, b = points[lo], points[hi]
+            score(np.array([a, b]))
             converged = max(abs(best[1]), abs(best[2])) < _LOG_TAU_MAX - 1e-6
     mu, lta, lte = best
     theta = ParamState(mu=float(mu) + stats.center, tau_a=math.exp(lta), tau_eps=math.exp(lte))

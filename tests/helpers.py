@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from svyanova.design import (SampleDraw, TwoStageDesign, WeightMode, WeightSet,
                              inclusion_probs, size_measures, systematic_pps)
 from svyanova.inference import (DrawsMatrix, ParamState, PriorConfig, _auto_init, _cond_a,
-                                _cond_mu, _cond_tau_a, _cond_tau_eps, _suffstats)
+                                _cond_mu, _cond_tau_a, _cond_tau_eps, _kappa, _suffstats)
 from svyanova.popgen import Population, cluster_offsets
 from svyanova.rng import substream
 
@@ -122,6 +122,44 @@ def reference_scan(sample, weights, prior: PriorConfig, n_sweeps: int, n_burnin:
             kept[it - n_burnin] = mu, tau_a, tau_eps
     mus, tas, tes = kept.T.copy()
     return DrawsMatrix(mu=mus + stats.center, tau_a=tas, tau_eps=tes)
+
+
+def reference_conditionals(stats, prior: PriorConfig, xs: np.ndarray):
+    """The collapse's per-ratio algebra cluster by cluster: (u_k sw_k, mu*,
+    Q, B) at each x in ``xs``, with one row of u_k sw_k per x.  The grouped
+    ``inference._conditionals`` sums the same terms per group of clusters
+    that share c_k = sw_k/w_k, so the two agree to rounding."""
+    r = np.exp(xs)
+    u_sw = stats.sw / np.add.outer(r, stats.sw / stats.w_k)
+    u_tot = u_sw.sum(axis=1)
+    mu = (u_sw @ stats.ybar) / u_tot
+    dev2 = np.subtract.outer(mu, stats.ybar) ** 2
+    b = 0.5 * (stats.wss + r * (u_sw * dev2).sum(axis=1)) + prior.beta1 * r + prior.beta2
+    return u_sw, mu, r * u_tot, b
+
+
+def reference_collapsed(stats, prior: PriorConfig, xs, density: bool = True):
+    """``inference._collapsed`` over ``reference_conditionals``, in one block;
+    a drop-in replacement for it."""
+    xs = np.asarray(xs, dtype=float)
+    u_sw, mu, q, b = reference_conditionals(stats, prior, xs)
+    if not density:
+        return None, mu, q, b
+    logp = (0.5 * np.log(u_sw).sum(axis=1) + (0.5 * stats.w_k_tot + prior.alpha1) * xs
+            - 0.5 * np.log(q) - (_kappa(stats, prior) + 1.5) * np.log(b))
+    return logp, mu, q, b
+
+
+def reference_profile_slope(stats, prior: PriorConfig, x: float) -> float:
+    """Slope in log r of the MAP's profile log posterior, cluster by cluster,
+    with s_k = sw_k/d_k."""
+    u_sw, mu, _, b = reference_conditionals(stats, prior, np.array([x]))
+    u_sw, mu, b = u_sw[0], float(mu[0]), float(b[0])
+    s_k = u_sw / stats.w_k
+    dev2 = (stats.ybar - mu) ** 2
+    return (0.5 * (stats.w_k_tot - stats.m + float(s_k.sum())) + prior.alpha1 - 1.0
+            - _kappa(stats, prior) * math.exp(x)
+            * (0.5 * float((u_sw * s_k) @ dev2) + prior.beta1) / b)
 
 
 def cluster_logintegrand(y, w_jk, w_k, mu, tau_a, tau_eps):

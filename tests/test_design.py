@@ -493,6 +493,23 @@ class TestSampleCsv:
         for a, b in zip(reversed_.y_s, loaded.y_s):
             np.testing.assert_array_equal(a, b[::-1])
 
+    def test_blank_lines_skipped_and_short_row_named(self, sample_csv):
+        # blank lines are not rows, so they shift no line number; a cell
+        # missing from a short row reads as None
+        loaded = sample_from_csv(sample_csv)
+        with open(sample_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(sample_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0], [], *rows[1:3], [], *rows[3:]])
+        padded = sample_from_csv(sample_csv)
+        np.testing.assert_array_equal(padded.y, loaded.y)
+        np.testing.assert_array_equal(padded.pi_cond, loaded.pi_cond)
+        rows[3] = rows[3][:4]
+        with open(sample_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(DesignError, match="line 4: pi_l_given_h must be in .* got None"):
+            sample_from_csv(sample_csv)
+
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("cluster_id,unit_id\n0,0\n")

@@ -25,6 +25,8 @@ from svyanova.inference import (ChainConfig, PriorConfig, posterior_means,
 from svyanova.popgen import PopulationConfig, generate_population
 from svyanova.rng import derive_seed
 
+from helpers import reference_collapsed
+
 PARAMS = ("b0", "sigma_a", "sigma_eps")
 
 
@@ -145,6 +147,21 @@ class TestSharedPosterior:
                 exact = posterior_means(sample, weights[_MODE_OF[est]], scen.priors)
                 for p in PARAMS:
                     assert rep.estimates[(est, p)][r - 1] == exact[p], (est, p, r)
+
+    def test_raw_weight_gibbs_cells_match_the_reference_algebra(self, monkeypatch):
+        # without normalization every cluster has its own c_k = sw_k/w_k, so
+        # the grouped collapse runs over all m clusters; the cells must equal
+        # the posterior means taken cluster by cluster
+        scen = replace(_scenario(m=20, estimators=ESTIMATORS), normalize_weights=False)
+        _, estimates, _, failures = _run_replicate(scen, 1)
+        assert not failures
+        sample, weights = self._sample_and_weights(scen, 1)
+        assert len(inference._suffstats(sample, weights[WeightMode.DOUBLE]).groups.c) == 20
+        monkeypatch.setattr(inference, "_collapsed", reference_collapsed)
+        for est in ("equal_gibbs", "single_gibbs", "double_gibbs"):
+            exact = posterior_means(sample, weights[_MODE_OF[est]], scen.priors)
+            for p in PARAMS:
+                assert estimates[(est, p)] == pytest.approx(exact[p], rel=1e-10, abs=0), (est, p)
 
     def test_integrated_cell_is_run_integrated_mcmc_at_the_chain_seed(self):
         scen = _scenario(R=3, estimators=ESTIMATORS)
